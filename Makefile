@@ -4,14 +4,14 @@ GO ?= go
 # these run a second time under the race detector in `make ci`.
 RACE_PKGS = ./internal/relation ./internal/catalog ./internal/core ./internal/server ./internal/storage ./internal/qcache ./internal/tx ./internal/wal ./internal/repl ./internal/vec ./internal/integrity ./client
 
-.PHONY: ci build vet fmt test race chaos e2e-cluster e2e-integrity fuzz fuzz-smoke bench bench-smoke clean
+.PHONY: ci build vet fmt test race bench-check chaos e2e-cluster e2e-integrity fuzz fuzz-smoke bench bench-smoke clean
 
 # ci is the tier-1 gate: everything must build, vet and gofmt clean, pass
 # tests, pass the race detector on the concurrency-bearing packages, keep
-# the read-path microbenchmarks compiling and running, boot a real
-# 1-primary + 2-follower cluster end to end, and prove the integrity
-# subsystem over the wire.
-ci: vet fmt build test race bench-smoke e2e-cluster e2e-integrity
+# the read-path microbenchmarks compiling and running, build and test the
+# benchmark module, boot a real 1-primary + 2-follower cluster end to end,
+# and prove the integrity subsystem over the wire.
+ci: vet fmt build test race bench-smoke bench-check e2e-cluster e2e-integrity
 
 # fmt fails if any file needs gofmt (prints the offenders).
 fmt:
@@ -31,6 +31,14 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on $(RACE_PKGS)
+
+# bench-check vets and tests the benchmark module under tsbench/run.sh's
+# module settings. tsbench/ is its own Go module, so the root's
+# `go build ./...` never compiles it: without this target, removing an
+# API the benchmark calls would pass every other check.
+BENCH_ENV = GOFLAGS=-mod=mod GOPROXY=off GOWORK=off GOTOOLCHAIN=local
+bench-check:
+	cd tsbench && $(BENCH_ENV) $(GO) vet ./... && $(BENCH_ENV) $(GO) test ./...
 
 # The resilience acceptance tests: idempotent retry through connection
 # resets, WAL poisoning to read-only, crash recovery to exactly the acked
@@ -86,7 +94,7 @@ fuzz-smoke:
 bench:
 	$(GO) run ./cmd/benchrunner
 
-# A trimmed benchmark pass: locked vs snapshot vs cache-hit time-slices,
+# A trimmed benchmark pass: snapshot vs cache-hit time-slices,
 # the auto-specialization before/after pair, and the columnar batch
 # scan/aggregate microbenchmarks, at -benchtime=100ms. Fast enough for
 # ci; the full concurrent-reader experiment is

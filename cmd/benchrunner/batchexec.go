@@ -87,10 +87,10 @@ func runS7(n int) error {
 	// is inferred from.
 	esList := make([]*element.Element, 0, n)
 	for i := 1; i <= n; i++ {
-		el, err := e.Insert(relation.Insertion{
+		el, err := e.InsertKeyed(context.Background(), relation.Insertion{
 			VT:      element.EventAt(chronon.Chronon(10 * i)),
 			Varying: []element.Value{element.Int(int64(i % 1000))},
-		})
+		}, "")
 		if err != nil {
 			return err
 		}
@@ -102,7 +102,7 @@ func runS7(n int) error {
 	// current-state; run tt-envelopes prune under AS OF.
 	live := n / 100
 	for _, el := range esList[:n-live] {
-		if err := e.Delete(el.ES); err != nil {
+		if err := e.DeleteKeyed(context.Background(), el.ES, ""); err != nil {
 			return err
 		}
 	}

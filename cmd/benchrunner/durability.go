@@ -8,6 +8,7 @@ package main
 // the always policy's crash guarantee. Results go to BENCH_wal.json.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -96,7 +97,7 @@ func runS2Config(name string, writers, perWriter int, policy wal.SyncPolicy, use
 			defer wg.Done()
 			e := entries[g]
 			for i := 0; i < perWriter; i++ {
-				if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(i))}); err != nil {
+				if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(chronon.Chronon(i))}, ""); err != nil {
 					errc <- fmt.Errorf("writer %d insert %d: %w", g, i, err)
 					return
 				}
@@ -200,7 +201,7 @@ func runS2(n int) error {
 		return err
 	}
 	for i := 0; i < replayRecords; i++ {
-		if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(i))}); err != nil {
+		if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(chronon.Chronon(i))}, ""); err != nil {
 			return err
 		}
 	}

@@ -86,7 +86,7 @@ func physWorkload(name string, n int, vt func(i int) chronon.Chronon) (*catalog.
 		return nil, nil, nil, err
 	}
 	for i := 1; i <= n; i++ {
-		if _, err := e.Insert(relation.Insertion{VT: element.EventAt(vt(i))}); err != nil {
+		if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(vt(i))}, ""); err != nil {
 			cleanup()
 			return nil, nil, nil, err
 		}

@@ -6,8 +6,6 @@ import (
 	"repro/internal/element"
 	"repro/internal/plan"
 	"repro/internal/qcache"
-	"repro/internal/query"
-	"repro/internal/relation"
 	"repro/internal/tsql"
 	"repro/internal/vec"
 )
@@ -28,40 +26,6 @@ type aggCacheEntry struct {
 // memoized under (relation, "agg:"+fingerprint, epoch) — an insert bumps
 // the epoch, so cached windows can never serve stale aggregates.
 func (e *Entry) selectAggregate(ctx context.Context, q *tsql.Query) (*tsql.Result, *plan.Node, int, error) {
-	run := func(en *query.Engine, schema relation.Schema) (*tsql.Result, *plan.Node, int, error) {
-		node := tsql.Compile(q, en.Access())
-		spec, err := tsql.BuildAggSpec(q, schema)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		event := schema.ValidTime == element.EventStamp
-		agg, stats, err := en.AggregateCtx(ctx, node, tsql.PlanQuery(q), spec, event)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		e.recordBatch(node.Leaf().Kind, stats)
-		return tsql.AggToResult(q, agg), node, int(stats.Rows), nil
-	}
-	if e.lockedReads {
-		var (
-			res     *tsql.Result
-			node    *plan.Node
-			touched int
-		)
-		err := e.locked.View(func(r *relation.Relation) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			var err error
-			res, node, touched, err = run(e.engine, r.Schema())
-			return err
-		})
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		e.plans.Record(node.Leaf().Kind, touched)
-		return res, node, touched, nil
-	}
 	v := e.view.Load()
 	key := qcache.Key{Rel: e.name, Fingerprint: "agg:" + q.Fingerprint(), Epoch: v.epoch}
 	if hit, ok := e.cache.Get(key); ok {
@@ -69,10 +33,18 @@ func (e *Entry) selectAggregate(ctx context.Context, q *tsql.Query) (*tsql.Resul
 		e.plans.Record(ce.node.Leaf().Kind, 0)
 		return ce.res, ce.node, ce.touched, nil
 	}
-	res, node, touched, err := run(v.engine, v.schema)
+	node := tsql.Compile(q, v.engine.Access())
+	spec, err := tsql.BuildAggSpec(q, v.schema)
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	event := v.schema.ValidTime == element.EventStamp
+	agg, stats, err := v.engine.AggregateCtx(ctx, node, tsql.PlanQuery(q), spec, event)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	e.recordBatch(node.Leaf().Kind, stats)
+	res, touched := tsql.AggToResult(q, agg), int(stats.Rows)
 	e.plans.Record(node.Leaf().Kind, touched)
 	e.cache.Put(key, aggCacheEntry{res: res, node: node, touched: touched}, aggResultSize(res))
 	return res, node, touched, nil

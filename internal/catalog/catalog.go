@@ -40,7 +40,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/storage"
-	"repro/internal/surrogate"
 	"repro/internal/tsql"
 	"repro/internal/tx"
 	"repro/internal/wal"
@@ -93,11 +92,6 @@ type Config struct {
 	// it. Results are keyed by (relation, fingerprint, mutation epoch), so
 	// any mutation invalidates a relation's cached results for free.
 	CacheBytes int64
-	// LockedReads restores the pre-epoch read path: queries run under the
-	// relation's shared lock against the live engine, with no published
-	// snapshots and no result cache. It exists so the read-scaling
-	// benchmark has an honest baseline; production has no reason to set it.
-	LockedReads bool
 	// Follower marks the catalog as a read-only replica: the only writer
 	// is ApplyReplicated (replaying WAL frames shipped from a primary),
 	// and every client mutation fails typed with ErrReadOnly — the same
@@ -116,10 +110,10 @@ type Config struct {
 }
 
 // WAL record kinds. These values are replayed from disk, so they must
-// stay stable across releases. The keyed kinds frame an idempotency key
-// ahead of the same payload their unkeyed counterpart carries
-// (encodeKeyed); unkeyed kinds remain written for keyless mutations, so
-// logs from either era replay on either side of this change.
+// stay stable across releases. Writers emit walCreate, walDeclare,
+// walRespecialize, and walData; kinds 3–8 are replay-only (commit.go's
+// decodeDataFrame normalizes them into walData's record list), so logs
+// written before the single data frame still recover.
 const (
 	walCreate      wal.Kind = 1
 	walDeclare     wal.Kind = 2
@@ -134,10 +128,11 @@ const (
 	// (boot recovery and follower apply alike) restores the adoption, so
 	// the migrated organization survives a crash and ships to replicas.
 	walRespecialize wal.Kind = 9
-	// walInsertBatch journals N insertions as one frame: u32 count, then
-	// per element a keyed record span (batch.go). One group-commit entry
-	// and one Merkle leaf per batch; replay is all-or-nothing per frame.
-	walInsertBatch wal.Kind = 10
+	// walData journals every data write: a sequence of keyed backlog
+	// insert and delete records, one transaction time per mutation
+	// (commit.go). One group-commit entry and one Merkle leaf per commit;
+	// replay is all-or-nothing per frame.
+	walData wal.Kind = 10
 )
 
 type shard struct {
@@ -255,29 +250,37 @@ func (c *Catalog) Open() error {
 	}
 	if w := c.cfg.WAL; w != nil {
 		start := time.Now()
-		touched := make(map[*Entry]bool)
-		for _, rec := range w.TakeRecovered() {
-			e, err := c.applyWALRecord(rec)
-			if err != nil {
-				return fmt.Errorf("catalog: wal replay, lsn %d: %w", rec.LSN, err)
-			}
-			if e != nil {
-				touched[e] = true
-			}
-		}
-		// One engine rebuild per touched relation, after all its records
-		// landed — the store reload is O(versions), not O(versions²). The
-		// publish bumps the epoch past the construction-time view, so any
-		// result cached against a pre-replay epoch is dead on arrival.
-		for e := range touched {
-			_ = e.locked.Exclusive(func(r *relation.Relation) error {
-				_ = e.rebuildEngine(r)
-				e.publish()
-				return nil
-			})
-			e.dirty.Store(true)
+		if err := c.replay(w.TakeRecovered()); err != nil {
+			return fmt.Errorf("catalog: wal replay, %w", err)
 		}
 		w.AddReplayDuration(time.Since(start))
+	}
+	return nil
+}
+
+// replay applies WAL records in LSN order — boot recovery and follower
+// apply alike — then rebuilds each touched relation's engine once, after
+// all its records landed: the store reload is O(versions), not
+// O(versions x records). The publish bumps the epoch past the pre-replay
+// view, so any result cached against an older epoch is dead on arrival.
+func (c *Catalog) replay(recs []wal.Record) error {
+	touched := make(map[*Entry]bool)
+	for _, rec := range recs {
+		e, err := c.applyWALRecord(rec)
+		if err != nil {
+			return fmt.Errorf("lsn %d: %w", rec.LSN, err)
+		}
+		if e != nil {
+			touched[e] = true
+		}
+	}
+	for e := range touched {
+		_ = e.locked.Exclusive(func(r *relation.Relation) error {
+			_ = e.rebuildEngine(r)
+			e.publish()
+			return nil
+		})
+		e.dirty.Store(true)
 	}
 	return nil
 }
@@ -316,77 +319,9 @@ func (c *Catalog) applyWALRecord(rec wal.Record) (*Entry, error) {
 	if rec.LSN <= e.walLSN.Load() {
 		return nil, nil
 	}
-	// Keyed records carry "u16 keyLen, key, payload"; strip the frame and
-	// fall through to the shared apply path, remembering the key so the
-	// rebuilt dedup window covers retries that straddle a crash.
-	kind, payload, key := rec.Kind, rec.Payload, ""
-	switch rec.Kind {
-	case walInsertKeyed, walDeleteKeyed, walModifyKeyed:
-		var err error
-		if key, payload, err = decodeKeyed(rec.Payload); err != nil {
-			return nil, err
-		}
-		kind -= walInsertKeyed - walInsert
-	}
 	var applyErr error
 	_ = e.locked.Exclusive(func(r *relation.Relation) error {
-		remember := func(op dedupOp, el *element.Element) {
-			if key != "" {
-				e.dedup.remember(key, op, el)
-			}
-		}
-		switch kind {
-		case walInsert, walDelete:
-			lrec, err := backlog.DecodeRecord(payload)
-			if err != nil {
-				applyErr = err
-				return nil
-			}
-			if applyErr = r.ApplyLog(lrec); applyErr != nil {
-				return nil
-			}
-			if lrec.Op == relation.OpInsert {
-				el, _ := r.ByES(lrec.Elem.ES)
-				remember(dedupInsert, el)
-			} else {
-				remember(dedupDelete, nil)
-			}
-		case walInsertBatch:
-			// One frame, N insertions: the CRC admitted the whole record,
-			// so replay applies every element or (on a decode error) none —
-			// a torn prefix of a batch cannot exist.
-			entries, err := decodeInsertBatch(payload)
-			if err != nil {
-				applyErr = err
-				return nil
-			}
-			for _, be := range entries {
-				if be.rec.Op != relation.OpInsert {
-					applyErr = fmt.Errorf("batch frame carries op %d", be.rec.Op)
-					return nil
-				}
-				if applyErr = r.ApplyLog(be.rec); applyErr != nil {
-					return nil
-				}
-				if be.key != "" {
-					el, _ := r.ByES(be.rec.Elem.ES)
-					e.dedup.remember(be.key, dedupInsert, el)
-				}
-			}
-		case walModify:
-			del, ins, err := decodeModify(payload)
-			if err != nil {
-				applyErr = err
-				return nil
-			}
-			if applyErr = r.ApplyLog(del); applyErr != nil {
-				return nil
-			}
-			if applyErr = r.ApplyLog(ins); applyErr != nil {
-				return nil
-			}
-			el, _ := r.ByES(ins.Elem.ES)
-			remember(dedupModify, el)
+		switch rec.Kind {
 		case walDeclare:
 			descs, err := backlog.DecodeDeclarations(rec.Payload)
 			if err != nil {
@@ -424,7 +359,14 @@ func (c *Catalog) applyWALRecord(rec wal.Record) (*Entry, error) {
 				Epoch: e.Epoch(), From: e.advice.Store, To: org, Source: source,
 			})
 		default:
-			applyErr = fmt.Errorf("unknown record kind %d", rec.Kind)
+			// Every data kind decodes whole before any record applies: the
+			// CRC admitted the frame, so a batch never replays as a prefix.
+			recs, err := decodeDataFrame(rec.Kind, rec.Payload)
+			if err != nil {
+				applyErr = err
+				return nil
+			}
+			applyErr = e.replayData(r, recs)
 		}
 		return nil
 	})
@@ -432,50 +374,11 @@ func (c *Catalog) applyWALRecord(rec wal.Record) (*Entry, error) {
 		return nil, applyErr
 	}
 	e.walLSN.Store(rec.LSN)
-	// The leaf hashes the frame exactly as logged — the keyed kind and
-	// payload, not the stripped form applied above — so primaries,
+	// The leaf hashes the frame exactly as logged — its own kind and
+	// payload, not the normalized records applied above — so primaries,
 	// boot-time replay, and follower apply agree on every leaf.
 	e.appendLeaf(rec.LSN, rec.Kind, rec.Payload)
 	return e, nil
-}
-
-// encodeModify frames a modification's delete and insert records (one
-// transaction time) into a single WAL payload, so the pair replays
-// atomically: recovery never sees the delete without the insert.
-func encodeModify(del, ins relation.LogRecord) []byte {
-	db := backlog.EncodeRecord(del)
-	ib := backlog.EncodeRecord(ins)
-	out := make([]byte, 0, 8+len(db)+len(ib))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(db)))
-	out = append(out, db...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(ib)))
-	return append(out, ib...)
-}
-
-func decodeModify(b []byte) (del, ins relation.LogRecord, err error) {
-	next := func() (relation.LogRecord, error) {
-		if len(b) < 4 {
-			return relation.LogRecord{}, fmt.Errorf("short modify payload")
-		}
-		n := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if n < 0 || n > len(b) {
-			return relation.LogRecord{}, fmt.Errorf("bad modify payload framing")
-		}
-		rec, err := backlog.DecodeRecord(b[:n])
-		b = b[n:]
-		return rec, err
-	}
-	if del, err = next(); err != nil {
-		return del, ins, err
-	}
-	if ins, err = next(); err != nil {
-		return del, ins, err
-	}
-	if len(b) != 0 {
-		return del, ins, fmt.Errorf("trailing modify payload bytes")
-	}
-	return del, ins, nil
 }
 
 // Migration records one physical-design change of a relation: the epoch it
@@ -557,27 +460,17 @@ func (c *Catalog) Create(schema relation.Schema) (*Entry, error) {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	var lsn uint64
-	if w := c.cfg.WAL; w != nil {
-		var werr error
-		// Logged under the shard lock so the create's WAL position matches
-		// its catalog visibility order; creates are rare.
-		payload := backlog.EncodeSchema(schema)
-		lsn, werr = w.Write(walCreate, name, payload)
-		if werr != nil {
-			sh.mu.Unlock()
-			return nil, fmt.Errorf("catalog: wal: %w", werr)
-		}
-		e.walLSN.Store(lsn)
-		e.appendLeaf(lsn, walCreate, payload)
+	// Logged under the shard lock so the create's WAL position matches its
+	// catalog visibility order; creates are rare.
+	lsn, err := e.journal(walCreate, backlog.EncodeSchema(schema))
+	if err != nil {
+		sh.mu.Unlock()
+		return nil, err
 	}
 	sh.entries[name] = e
 	sh.mu.Unlock()
-	if w := c.cfg.WAL; w != nil {
-		if err := w.WaitDurable(lsn); err != nil {
-			return nil, fmt.Errorf("catalog: wal: %w", err)
-		}
-		e.sealRoot()
+	if err := e.waitDurable(lsn); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -797,13 +690,11 @@ type Entry struct {
 	// nil after newEntry.
 	view atomic.Pointer[readView]
 
-	// cache is the catalog-wide result cache (nil-safe when disabled),
-	// lockedReads the benchmarking compat mode, and follower the
-	// read-only-replica gate; all copied from the catalog at entry
-	// construction.
-	cache       *qcache.Cache
-	lockedReads bool
-	follower    bool
+	// cache is the catalog-wide result cache (nil-safe when disabled) and
+	// follower the read-only-replica gate, both copied from the catalog at
+	// entry construction.
+	cache    *qcache.Cache
+	follower bool
 
 	// Integrity state. tree is the relation's Merkle tree over committed
 	// WAL frames, nil when integrity is off; it has its own mutex because
@@ -883,7 +774,7 @@ func classesFromU8(bs []uint8) []core.Class {
 func (c *Catalog) newEntry(name string, l *relation.Locked, decls []constraint.Descriptor, phys backlog.Physical) *Entry {
 	e := &Entry{
 		name: name, locked: l, decls: decls, dedup: newDedupWindow(),
-		cache: c.cache, lockedReads: c.cfg.LockedReads, follower: c.cfg.Follower,
+		cache: c.cache, follower: c.cfg.Follower,
 		adopted: classesFromU8(phys.Adopted), migrations: phys.Migrations,
 	}
 	if c.integrityEnabled() {
@@ -1022,101 +913,22 @@ func fillStore(st storage.Store, r *relation.Relation) error {
 	return nil
 }
 
-// Insert stores a new element as one transaction and feeds it to the
-// physical store, atomically with respect to queries.
-func (e *Entry) Insert(ins relation.Insertion) (*element.Element, error) {
-	return e.InsertKeyed(context.Background(), ins, "")
-}
-
-// InsertKeyed is Insert with resilience hooks: the context aborts before
-// any work when the caller has already given up, and a non-empty
-// idempotency key makes the transaction retry-safe — a key the relation's
-// dedup window remembers returns the originally stored element with no
-// new WAL record and no new event.
-//
-// With a WAL attached the transaction is write-ahead logged: it is staged
-// (validated and transaction-stamped), framed into the log (keyed frame
-// when an idempotency key rides along), and only then applied to memory,
-// all under the relation's exclusive lock so the log's per-relation order
-// is the commit order. The acknowledgment then waits for the record to be
-// durable per the log's sync policy; a failed wait surfaces as an error
-// and the log's fail-stop poisoning keeps the not-yet-durable tail out of
-// every future snapshot.
-func (e *Entry) InsertKeyed(ctx context.Context, ins relation.Insertion, key string) (*element.Element, error) {
-	if err := e.mutationGate(ctx, key); err != nil {
-		return nil, err
+// journal is the write-ahead step of every mutation: it appends one frame
+// for the relation and feeds the frame's Merkle leaf. Callers hold the
+// relation's exclusive lock (the shard lock for creates), so the log's
+// per-relation order is the commit order. Without a WAL it journals
+// nothing and returns LSN 0.
+func (e *Entry) journal(kind wal.Kind, payload []byte) (uint64, error) {
+	if e.wal == nil {
+		return 0, nil
 	}
-	var out *element.Element
-	var lsn uint64
-	deduped := false
-	err := e.locked.Exclusive(func(r *relation.Relation) error {
-		if key != "" {
-			if hit, ok := e.dedup.lookup(key); ok {
-				if hit.op != dedupInsert {
-					return fmt.Errorf("%w: %q first used for %s", ErrIdemReuse, key, hit.op)
-				}
-				out, deduped = hit.elem, true
-				return nil
-			}
-		}
-		el, err := r.StageInsert(ins)
-		if err != nil {
-			return err
-		}
-		if e.wal != nil {
-			rec := relation.LogRecord{Op: relation.OpInsert, TT: el.TTStart, Elem: el}
-			kind, payload := walInsert, backlog.EncodeRecord(rec)
-			if key != "" {
-				kind, payload = walInsertKeyed, encodeKeyed(key, payload)
-			}
-			l, werr := e.wal.Write(kind, e.name, payload)
-			if werr != nil {
-				return e.walErr(werr)
-			}
-			lsn = l
-			e.walLSN.Store(lsn)
-			e.appendLeaf(lsn, kind, payload)
-		}
-		r.CommitInsert(el)
-		e.tracker.Observe(el)
-		if key != "" {
-			e.dedup.remember(key, dedupInsert, el)
-		}
-		out = el
-		if serr := e.engine.Store().Insert(el); serr != nil {
-			// Ordering promise broken despite enforcement (e.g. constraint
-			// declared on a different endpoint); degrade to the general
-			// organization rather than lose the committed element.
-			e.decls2general(r, serr)
-		}
-		e.publish()
-		e.dirty.Store(true)
-		return nil
-	})
+	lsn, err := e.wal.Write(kind, e.name, payload)
 	if err != nil {
-		return nil, err
+		return 0, e.walErr(err)
 	}
-	if deduped {
-		// The original acknowledgment already waited for durability.
-		return out, nil
-	}
-	if err := e.waitDurable(lsn); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// mutationGate is every mutation's entry check: refuse in read-only
-// degraded mode, refuse oversized idempotency keys before they reach the
-// WAL frame, and stop before any work when the caller's context is done.
-func (e *Entry) mutationGate(ctx context.Context, key string) error {
-	if err := e.writable(); err != nil {
-		return err
-	}
-	if len(key) > maxIdemKeyLen {
-		return fmt.Errorf("catalog: idempotency key exceeds %d bytes", maxIdemKeyLen)
-	}
-	return ctx.Err()
+	e.walLSN.Store(lsn)
+	e.appendLeaf(lsn, kind, payload)
+	return lsn, nil
 }
 
 // walErr classifies a WAL append/wait failure: once the log has poisoned
@@ -1155,149 +967,6 @@ func (e *Entry) decls2general(r *relation.Relation, cause error) {
 		fmt.Sprintf("fell back: committed element violates the store order (%v)", cause))
 }
 
-// Delete logically removes an element. The physical stores share element
-// pointers with the relation, so the tt⊣ update is visible to them without
-// restructuring. Write-ahead logged like Insert.
-func (e *Entry) Delete(es surrogate.Surrogate) error {
-	return e.DeleteKeyed(context.Background(), es, "")
-}
-
-// DeleteKeyed is Delete with the resilience hooks of InsertKeyed. A
-// remembered key means the logical delete already happened; the retry
-// succeeds without a second tt⊣ update (which would fail as
-// already-deleted and make retries look like conflicts).
-func (e *Entry) DeleteKeyed(ctx context.Context, es surrogate.Surrogate, key string) error {
-	if err := e.mutationGate(ctx, key); err != nil {
-		return err
-	}
-	var lsn uint64
-	deduped := false
-	err := e.locked.Exclusive(func(r *relation.Relation) error {
-		if key != "" {
-			if hit, ok := e.dedup.lookup(key); ok {
-				if hit.op != dedupDelete {
-					return fmt.Errorf("%w: %q first used for %s", ErrIdemReuse, key, hit.op)
-				}
-				deduped = true
-				return nil
-			}
-		}
-		el, tt, err := r.StageDelete(es)
-		if err != nil {
-			return err
-		}
-		if e.wal != nil {
-			// The element still carries tt⊣ = forever here; replay only needs
-			// its surrogate and the record's transaction time.
-			rec := relation.LogRecord{Op: relation.OpDelete, TT: tt, Elem: el}
-			kind, payload := walDelete, backlog.EncodeRecord(rec)
-			if key != "" {
-				kind, payload = walDeleteKeyed, encodeKeyed(key, payload)
-			}
-			l, werr := e.wal.Write(kind, e.name, payload)
-			if werr != nil {
-				return e.walErr(werr)
-			}
-			lsn = l
-			e.walLSN.Store(lsn)
-			e.appendLeaf(lsn, kind, payload)
-		}
-		// The close lands on a clone (copy-on-close); swap it into the
-		// physical store so the live engine sees the finalized tt⊣ while
-		// pinned read views keep the open original.
-		closed := r.CommitDelete(el, tt)
-		e.engine.Store().Replace(el, closed)
-		if key != "" {
-			e.dedup.remember(key, dedupDelete, nil)
-		}
-		e.publish()
-		e.dirty.Store(true)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if deduped {
-		return nil
-	}
-	return e.waitDurable(lsn)
-}
-
-// Modify replaces an element's valid time and varying values (a logical
-// delete plus an insert at one transaction time). The pair is logged as a
-// single WAL record so recovery applies both or neither.
-func (e *Entry) Modify(es surrogate.Surrogate, vt element.Timestamp, varying []element.Value) (*element.Element, error) {
-	return e.ModifyKeyed(context.Background(), es, vt, varying, "")
-}
-
-// ModifyKeyed is Modify with the resilience hooks of InsertKeyed: a
-// remembered key returns the replacement element the original transaction
-// produced instead of chaining a second delete+insert onto it.
-func (e *Entry) ModifyKeyed(ctx context.Context, es surrogate.Surrogate, vt element.Timestamp, varying []element.Value, key string) (*element.Element, error) {
-	if err := e.mutationGate(ctx, key); err != nil {
-		return nil, err
-	}
-	var out *element.Element
-	var lsn uint64
-	deduped := false
-	err := e.locked.Exclusive(func(r *relation.Relation) error {
-		if key != "" {
-			if hit, ok := e.dedup.lookup(key); ok {
-				if hit.op != dedupModify {
-					return fmt.Errorf("%w: %q first used for %s", ErrIdemReuse, key, hit.op)
-				}
-				out, deduped = hit.elem, true
-				return nil
-			}
-		}
-		old, repl, tt, err := r.StageModify(es, vt, varying)
-		if err != nil {
-			return err
-		}
-		if e.wal != nil {
-			payload := encodeModify(
-				relation.LogRecord{Op: relation.OpDelete, TT: tt, Elem: old},
-				relation.LogRecord{Op: relation.OpInsert, TT: tt, Elem: repl},
-			)
-			kind := walModify
-			if key != "" {
-				kind, payload = walModifyKeyed, encodeKeyed(key, payload)
-			}
-			l, werr := e.wal.Write(kind, e.name, payload)
-			if werr != nil {
-				return e.walErr(werr)
-			}
-			lsn = l
-			e.walLSN.Store(lsn)
-			e.appendLeaf(lsn, kind, payload)
-		}
-		closed := r.CommitDelete(old, tt)
-		e.engine.Store().Replace(old, closed)
-		r.CommitInsert(repl)
-		e.tracker.Observe(repl)
-		if key != "" {
-			e.dedup.remember(key, dedupModify, repl)
-		}
-		out = repl
-		if serr := e.engine.Store().Insert(repl); serr != nil {
-			e.decls2general(r, serr)
-		}
-		e.publish()
-		e.dirty.Store(true)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if deduped {
-		return out, nil
-	}
-	if err := e.waitDurable(lsn); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Declare attaches the descriptors' constraints as enforcers, one per
 // scope. The existing extension is validated first: a declaration the
 // stored history already violates is rejected whole, leaving the relation
@@ -1324,45 +993,35 @@ func (e *Entry) Declare(descs []constraint.Descriptor) error {
 			// operation as if it were arriving now; the incremental
 			// checkers end warm for the next live transaction.
 			for _, rec := range r.Backlog() {
-				switch rec.Op {
-				case relation.OpInsert:
-					if err := en.CheckInsert(r, rec.Elem); err != nil {
-						return fmt.Errorf("catalog: existing extension violates declaration: %w", err)
-					}
-				case relation.OpDelete:
-					if err := en.CheckDelete(r, rec.Elem, rec.TT); err != nil {
-						return fmt.Errorf("catalog: existing extension violates declaration: %w", err)
-					}
+				var err error
+				if rec.Op == relation.OpInsert {
+					err = en.CheckInsert(r, rec.Elem)
+				} else {
+					err = en.CheckDelete(r, rec.Elem, rec.TT)
+				}
+				if err != nil {
+					return fmt.Errorf("catalog: existing extension violates declaration (%w): %w", relation.ErrRejected, err)
 				}
 				en.Applied(r, rec.Op, rec.Elem, rec.TT)
 			}
 			enforcers = append(enforcers, en)
 		}
-		if e.wal != nil {
-			// Validation passed; log the declaration before attaching it.
-			payload := backlog.EncodeDeclarations(descs)
-			l, werr := e.wal.Write(walDeclare, e.name, payload)
-			if werr != nil {
-				return e.walErr(werr)
-			}
-			lsn = l
-			e.walLSN.Store(lsn)
-			e.appendLeaf(lsn, walDeclare, payload)
+		// Validation passed; log the declaration before attaching it.
+		var err error
+		if lsn, err = e.journal(walDeclare, backlog.EncodeDeclarations(descs)); err != nil {
+			return err
 		}
 		for _, en := range enforcers {
 			r.AddGuard(en)
 		}
 		e.decls = append(e.decls, descs...)
-		if err := e.rebuildEngine(r); err != nil {
-			// The declaration stands (its enforcer is sound) but its bounds
-			// cannot drive the pushdown; surface the bug to the caller.
-			e.publish()
-			e.dirty.Store(true)
-			return err
-		}
+		// A rebuild error means the declaration stands (its enforcer is
+		// sound) but its bounds cannot drive the pushdown; publish anyway
+		// and surface the bug to the caller.
+		err = e.rebuildEngine(r)
 		e.publish()
 		e.dirty.Store(true)
-		return nil
+		return err
 	})
 	if err != nil {
 		return err
@@ -1389,36 +1048,18 @@ func (e *Entry) toResult(res query.Result) QueryResult {
 	return QueryResult{Elements: res.Elements, Plan: res.Plan, Node: res.Node, Touched: res.Touched}
 }
 
-// Current answers the conventional query.
-func (e *Entry) Current() QueryResult {
-	out, _ := e.CurrentCtx(context.Background())
-	return out
-}
-
-// CurrentCtx is Current with caller cancellation.
+// CurrentCtx answers the conventional query.
 func (e *Entry) CurrentCtx(ctx context.Context) (QueryResult, error) {
 	return e.readCtx(ctx, "current", func(en *query.Engine) query.Result { return en.Current() })
 }
 
-// Timeslice answers the historical query at vt.
-func (e *Entry) Timeslice(vt chronon.Chronon) QueryResult {
-	out, _ := e.TimesliceCtx(context.Background(), vt)
-	return out
-}
-
-// TimesliceCtx is Timeslice with caller cancellation.
+// TimesliceCtx answers the historical query at vt.
 func (e *Entry) TimesliceCtx(ctx context.Context, vt chronon.Chronon) (QueryResult, error) {
 	return e.readCtx(ctx, "ts:"+strconv.FormatInt(int64(vt), 10),
 		func(en *query.Engine) query.Result { return en.Timeslice(vt) })
 }
 
-// Rollback answers the rollback query at tt.
-func (e *Entry) Rollback(tt chronon.Chronon) QueryResult {
-	out, _ := e.RollbackCtx(context.Background(), tt)
-	return out
-}
-
-// RollbackCtx is Rollback with caller cancellation.
+// RollbackCtx answers the rollback query at tt.
 func (e *Entry) RollbackCtx(ctx context.Context, tt chronon.Chronon) (QueryResult, error) {
 	return e.readCtx(ctx, "rb:"+strconv.FormatInt(int64(tt), 10),
 		func(en *query.Engine) query.Result { return en.Rollback(tt) })
@@ -1430,30 +1071,9 @@ func (e *Entry) RollbackCtx(ctx context.Context, tt chronon.Chronon) (QueryResul
 // the catalog's cache under (relation, fingerprint, epoch); a hit is
 // returned without any engine work and still counts on the per-plan-kind
 // metrics (with zero touched — nothing was scanned).
-//
-// Compat: with Config.LockedReads the query runs under the shared lock
-// against the live engine — the pre-epoch behavior, kept as the
-// read-scaling baseline — checking the context both before queueing for
-// the lock and after acquiring it (lock waits can outlast deadlines).
 func (e *Entry) readCtx(ctx context.Context, fp string, run func(en *query.Engine) query.Result) (QueryResult, error) {
 	if err := ctx.Err(); err != nil {
 		return QueryResult{}, err
-	}
-	if e.lockedReads {
-		var res query.Result
-		err := e.locked.View(func(*relation.Relation) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			res = run(e.engine)
-			return nil
-		})
-		if err != nil {
-			return QueryResult{}, err
-		}
-		out := e.toResult(res)
-		out.Epoch = e.Epoch()
-		return out, nil
 	}
 	v := e.view.Load()
 	key := qcache.Key{Rel: e.name, Fingerprint: fp, Epoch: v.epoch}
@@ -1480,46 +1100,16 @@ func resultSize(qr QueryResult) int64 {
 	return n
 }
 
-// TimesliceAsOf answers the bitemporal query: elements valid at vt as
-// stored at tt. No physical organization indexes both dimensions — the
-// planner prices it as the bitemporal full scan — so this scans the
-// relation.
-func (e *Entry) TimesliceAsOf(vt, tt chronon.Chronon) QueryResult {
-	out, _ := e.TimesliceAsOfCtx(context.Background(), vt, tt)
-	return out
-}
-
-// TimesliceAsOfCtx is TimesliceAsOf with caller cancellation. The
-// bitemporal scan is the catalog's most expensive read, so the scan
-// itself is cooperative: it re-checks the context periodically and stops
-// mid-scan when the caller is gone. Like the other reads it runs against
-// the pinned view — no physical organization indexes both time
-// dimensions, so it scans the view's elements — and memoizes in the
-// result cache, where repeat bitemporal traffic benefits the most.
+// TimesliceAsOfCtx answers the bitemporal query: elements valid at vt as
+// stored at tt. No physical organization indexes both time dimensions —
+// the planner prices it as the bitemporal full scan — so it scans the
+// pinned view's elements. That makes it the catalog's most expensive
+// read, so the scan is cooperative: it re-checks the context periodically
+// and stops mid-scan when the caller is gone. It memoizes in the result
+// cache, where repeat bitemporal traffic benefits the most.
 func (e *Entry) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon) (QueryResult, error) {
 	if err := ctx.Err(); err != nil {
 		return QueryResult{}, err
-	}
-	if e.lockedReads {
-		var out QueryResult
-		err := e.locked.View(func(r *relation.Relation) error {
-			node := e.engine.Plan(plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)})
-			els, err := r.TimesliceAsOfCtx(ctx, vt, tt)
-			if err != nil {
-				return err
-			}
-			out.Elements = els
-			out.Plan = node.String()
-			out.Node = node
-			out.Touched = r.Len()
-			return nil
-		})
-		if err != nil {
-			return QueryResult{}, err
-		}
-		out.Epoch = e.Epoch()
-		e.plans.Record(out.Node.Leaf().Kind, out.Touched)
-		return out, nil
 	}
 	v := e.view.Load()
 	fp := "asof:" + strconv.FormatInt(int64(vt), 10) + ":" + strconv.FormatInt(int64(tt), 10)
@@ -1563,17 +1153,6 @@ func asOfScan(ctx context.Context, elems []*element.Element, vt, tt chronon.Chro
 	return out, nil
 }
 
-// Select evaluates a parsed tsql query against the relation under the
-// shared lock. The query's Rel must name this entry. The statement is
-// compiled onto the engine's planned access path: when the plan's leaf is
-// a specialized strategy (vt binary search, tt-window pushdown, index
-// seek), the engine produces the candidate set and only it is evaluated;
-// otherwise the relation's backlog is scanned as before. The returned
-// node is the executed plan; touched is its access-path cost.
-func (e *Entry) Select(q *tsql.Query) (*tsql.Result, *plan.Node, int, error) {
-	return e.SelectCtx(context.Background(), q)
-}
-
 // selectScratch pools candidate slices for SELECTs that must re-sort an
 // index seek's output into insertion order, so the hot path stops
 // allocating a fresh slice per query.
@@ -1592,10 +1171,14 @@ func esOrdered(els []*element.Element) bool {
 	return true
 }
 
-// SelectCtx is Select with caller cancellation; the full-scan evaluation
-// path is cooperative, re-checking the context periodically mid-scan.
-// Like the engine reads it evaluates against the pinned view, lock-free
-// (LockedReads restores the shared-lock path).
+// SelectCtx evaluates a parsed tsql query against the pinned view,
+// lock-free. The query's Rel must name this entry. The statement is
+// compiled onto the engine's planned access path: when the plan's leaf is
+// a specialized strategy (vt binary search, tt-window pushdown, index
+// seek), the engine produces the candidate set and only it is evaluated;
+// otherwise every version is scanned, cooperatively re-checking the
+// context. The returned node is the executed plan; touched is its
+// access-path cost.
 func (e *Entry) SelectCtx(ctx context.Context, q *tsql.Query) (*tsql.Result, *plan.Node, int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, 0, err
@@ -1603,49 +1186,32 @@ func (e *Entry) SelectCtx(ctx context.Context, q *tsql.Query) (*tsql.Result, *pl
 	if q.Group != nil {
 		return e.selectAggregate(ctx, q)
 	}
+	v := e.view.Load()
+	node := tsql.Compile(q, v.engine.Access())
 	var res *tsql.Result
-	var node *plan.Node
-	touched := 0
-	eval := func(en *query.Engine, schema relation.Schema, versions []*element.Element) error {
-		node = tsql.Compile(q, en.Access())
-		var err error
-		switch node.Leaf().Kind {
-		case plan.VTBinarySearch, plan.TTWindowPushdown, plan.BTreeIndexSeek:
-			pq := tsql.PlanQuery(q)
-			qres := en.VTRange(chronon.Chronon(pq.VTLo), chronon.Chronon(pq.VTHi))
-			touched = qres.Touched
-			if esOrdered(qres.Elements) {
-				// Already the backlog scan's row order; evaluate in place.
-				res, err = tsql.EvalOnCtx(ctx, q, schema, qres.Elements)
-				return err
-			}
-			// An ES sort restores the backlog scan's row order exactly;
-			// sort a pooled scratch copy, never the store's slice.
-			sp := selectScratch.Get().(*[]*element.Element)
-			cands := append((*sp)[:0], qres.Elements...)
-			sort.Slice(cands, func(i, j int) bool { return cands[i].ES < cands[j].ES })
-			res, err = tsql.EvalOnCtx(ctx, q, schema, cands)
-			clear(cands) // drop element references before pooling
-			*sp = cands[:0]
-			selectScratch.Put(sp)
-			return err
-		default:
-			res, err = tsql.EvalOnCtx(ctx, q, schema, versions)
-			touched = len(versions)
-			return err
-		}
-	}
 	var err error
-	if e.lockedReads {
-		err = e.locked.View(func(r *relation.Relation) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return eval(e.engine, r.Schema(), r.Versions())
-		})
-	} else {
-		v := e.view.Load()
-		err = eval(v.engine, v.schema, v.elems)
+	touched := len(v.elems)
+	switch node.Leaf().Kind {
+	case plan.VTBinarySearch, plan.TTWindowPushdown, plan.BTreeIndexSeek:
+		pq := tsql.PlanQuery(q)
+		qres := v.engine.VTRange(chronon.Chronon(pq.VTLo), chronon.Chronon(pq.VTHi))
+		touched = qres.Touched
+		if esOrdered(qres.Elements) {
+			// Already the backlog scan's row order; evaluate in place.
+			res, err = tsql.EvalOnCtx(ctx, q, v.schema, qres.Elements)
+			break
+		}
+		// An ES sort restores the backlog scan's row order exactly; sort a
+		// pooled scratch copy, never the store's slice.
+		sp := selectScratch.Get().(*[]*element.Element)
+		cands := append((*sp)[:0], qres.Elements...)
+		sort.Slice(cands, func(i, j int) bool { return cands[i].ES < cands[j].ES })
+		res, err = tsql.EvalOnCtx(ctx, q, v.schema, cands)
+		clear(cands) // drop element references before pooling
+		*sp = cands[:0]
+		selectScratch.Put(sp)
+	default:
+		res, err = tsql.EvalOnCtx(ctx, q, v.schema, v.elems)
 	}
 	if err != nil {
 		return nil, nil, 0, err
@@ -1717,15 +1283,9 @@ func (e *Entry) Respecialize() (Migration, bool, error) {
 		if cand.Store == e.advice.Store {
 			return nil // the live organization is already the advised one
 		}
-		if e.wal != nil {
-			payload := encodeRespecialize(cand.Store, cand.Source, observed)
-			l, werr := e.wal.Write(walRespecialize, e.name, payload)
-			if werr != nil {
-				return e.walErr(werr)
-			}
-			lsn = l
-			e.walLSN.Store(lsn)
-			e.appendLeaf(lsn, walRespecialize, payload)
+		var err error
+		if lsn, err = e.journal(walRespecialize, encodeRespecialize(cand.Store, cand.Source, observed)); err != nil {
+			return err
 		}
 		from := e.advice.Store
 		e.adopted = observed

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,6 +28,16 @@ func eventSchema(name string) relation.Schema {
 		ValidTime:   element.EventStamp,
 		Granularity: chronon.Second,
 	}
+}
+
+// currentOf answers the conventional query, failing the test on error.
+func currentOf(t testing.TB, e *Entry) []*element.Element {
+	t.Helper()
+	res, err := e.CurrentCtx(context.Background())
+	if err != nil {
+		t.Fatalf("CurrentCtx(%s): %v", e.Name(), err)
+	}
+	return res.Elements
 }
 
 func mustDescribe(t *testing.T, c constraint.Constraint, scope constraint.Scope) constraint.Descriptor {
@@ -73,7 +84,7 @@ func TestCatalogDeclareValidatesHistory(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	// tt=10 vt=50: a predictive (future-dated) event.
-	if _, err := e.Insert(relation.Insertion{VT: element.EventAt(50)}); err != nil {
+	if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(50)}, ""); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 	retro := mustDescribe(t, constraint.Event{Spec: core.RetroactiveSpec()}, constraint.PerRelation)
@@ -88,7 +99,7 @@ func TestCatalogDeclareValidatesHistory(t *testing.T) {
 	if err := e.Declare([]constraint.Descriptor{pred}); err != nil {
 		t.Fatalf("Declare(predictive): %v", err)
 	}
-	if _, err := e.Insert(relation.Insertion{VT: element.EventAt(3)}); err == nil {
+	if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(3)}, ""); err == nil {
 		t.Fatal("retroactive insert accepted despite predictive declaration")
 	}
 }
@@ -104,7 +115,7 @@ func TestCatalogSnapshotAndReload(t *testing.T) {
 	if err := e.Declare([]constraint.Descriptor{retro}); err != nil {
 		t.Fatalf("Declare: %v", err)
 	}
-	if _, err := e.Insert(relation.Insertion{VT: element.EventAt(5)}); err != nil {
+	if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(5)}, ""); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 	n, err := c.Snapshot()
@@ -129,7 +140,7 @@ func TestCatalogSnapshotAndReload(t *testing.T) {
 		t.Fatalf("reloaded info = %+v", info)
 	}
 	// The persisted declaration is enforced again.
-	if _, err := e2.Insert(relation.Insertion{VT: element.EventAt(10_000)}); err == nil {
+	if _, err := e2.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(10_000)}, ""); err == nil {
 		t.Fatal("future-dated insert accepted after reload of retroactive relation")
 	}
 }
@@ -141,7 +152,7 @@ func TestCatalogOpenRejectsMismatchedName(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if _, err := e.Insert(relation.Insertion{VT: element.EventAt(5)}); err != nil {
+	if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(5)}, ""); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 	if _, err := c.Snapshot(); err != nil {
@@ -163,23 +174,24 @@ func TestCatalogQueryAccounting(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(i))}); err != nil {
+		if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(chronon.Chronon(i))}, ""); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-	res := e.Timeslice(2)
-	if len(res.Elements) != 1 || res.Plan == "" || res.Touched == 0 {
-		t.Fatalf("Timeslice = %+v", res)
+	ctx := context.Background()
+	res, err := e.TimesliceCtx(ctx, 2)
+	if err != nil || len(res.Elements) != 1 || res.Plan == "" || res.Touched == 0 {
+		t.Fatalf("Timeslice = %+v, %v", res, err)
 	}
-	res = e.TimesliceAsOf(2, 30)
-	if len(res.Elements) != 1 || res.Touched != 5 {
-		t.Fatalf("TimesliceAsOf = %d elements, touched %d", len(res.Elements), res.Touched)
+	res, err = e.TimesliceAsOfCtx(ctx, 2, 30)
+	if err != nil || len(res.Elements) != 1 || res.Touched != 5 {
+		t.Fatalf("TimesliceAsOf = %d elements, touched %d, %v", len(res.Elements), res.Touched, err)
 	}
-	if res := e.Current(); len(res.Elements) != 5 {
-		t.Fatalf("Current = %d elements", len(res.Elements))
+	if got := len(currentOf(t, e)); got != 5 {
+		t.Fatalf("Current = %d elements", got)
 	}
-	if res := e.Rollback(25); len(res.Elements) != 2 {
-		t.Fatalf("Rollback(25) = %d elements", len(res.Elements))
+	if res, err := e.RollbackCtx(ctx, 25); err != nil || len(res.Elements) != 2 {
+		t.Fatalf("Rollback(25) = %d elements, %v", len(res.Elements), err)
 	}
 }
 
@@ -213,8 +225,9 @@ func ExampleCatalog() {
 	e, _ := c.Create(relation.Schema{
 		Name: "temps", ValidTime: element.EventStamp, Granularity: chronon.Second,
 	})
-	e.Insert(relation.Insertion{VT: element.EventAt(5)})
-	res := e.Timeslice(5)
+	ctx := context.Background()
+	e.InsertKeyed(ctx, relation.Insertion{VT: element.EventAt(5)}, "")
+	res, _ := e.TimesliceCtx(ctx, 5)
 	fmt.Println(len(res.Elements))
 	// Output: 1
 }

@@ -28,23 +28,24 @@ import (
 // dedupWindowCap bounds remembered keys per relation.
 const dedupWindowCap = 4096
 
-// dedupOp tags which operation a key was first used for; a key reused
-// across operation kinds is a client bug and is rejected.
-type dedupOp uint8
+// opKind names a data write: the mutation commit stages, and the
+// operation a dedup key was first used for — a key reused across
+// operation kinds is a client bug and is rejected.
+type opKind uint8
 
 const (
-	dedupInsert dedupOp = iota
-	dedupDelete
-	dedupModify
+	opInsert opKind = iota
+	opDelete
+	opModify
 )
 
-func (o dedupOp) String() string {
+func (o opKind) String() string {
 	switch o {
-	case dedupInsert:
+	case opInsert:
 		return "insert"
-	case dedupDelete:
+	case opDelete:
 		return "delete"
-	case dedupModify:
+	case opModify:
 		return "modify"
 	}
 	return "unknown"
@@ -53,7 +54,7 @@ func (o dedupOp) String() string {
 // dedupHit is what the window remembers per key: the operation kind and
 // the element the original transaction returned (nil for deletes).
 type dedupHit struct {
-	op   dedupOp
+	op   opKind
 	elem *element.Element
 }
 
@@ -74,7 +75,7 @@ func (w *dedupWindow) lookup(key string) (dedupHit, bool) {
 	return h, ok
 }
 
-func (w *dedupWindow) remember(key string, op dedupOp, el *element.Element) {
+func (w *dedupWindow) remember(key string, op opKind, el *element.Element) {
 	if _, dup := w.m[key]; !dup {
 		w.order = append(w.order, key)
 		if len(w.order) > dedupWindowCap {
@@ -89,18 +90,9 @@ func (w *dedupWindow) remember(key string, op dedupOp, el *element.Element) {
 // rejected before they reach the WAL frame.
 const maxIdemKeyLen = 255
 
-// encodeKeyed frames an idempotency key ahead of a mutation's WAL
-// payload: u16 key length, key bytes, then the original payload
-// unchanged. Replay strips the frame and delegates to the unkeyed
-// decoder, so keyed and legacy records share one apply path.
-func encodeKeyed(key string, payload []byte) []byte {
-	out := make([]byte, 0, 2+len(key)+len(payload))
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(key)))
-	out = append(out, key...)
-	return append(out, payload...)
-}
-
-// decodeKeyed splits a keyed WAL payload back into key and inner payload.
+// decodeKeyed splits a replay-only keyed payload (kinds 6–8: u16 key
+// length, key bytes, then the unkeyed kind's payload) into key and inner
+// payload.
 func decodeKeyed(b []byte) (key string, payload []byte, err error) {
 	if len(b) < 2 {
 		return "", nil, fmt.Errorf("catalog: short keyed payload")

@@ -113,7 +113,7 @@ func buildDiffRelation(t *testing.T, c *Catalog, name, class string, stamp eleme
 				vtHi = hi
 			}
 		}
-		el, err := e.Insert(relation.Insertion{VT: vt, Varying: diffValues(rng)})
+		el, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: vt, Varying: diffValues(rng)}, "")
 		if err != nil {
 			t.Fatalf("%s insert %d: %v", name, i, err)
 		}
@@ -129,14 +129,14 @@ func buildDiffRelation(t *testing.T, c *Catalog, name, class string, stamp eleme
 	for i := 0; i < n/16; i++ {
 		es := esList[rng.Intn(len(esList))]
 		if rng.Intn(2) == 0 {
-			_ = e.Delete(es)
+			_ = e.DeleteKeyed(context.Background(), es, "")
 		} else {
 			lo := rng.Int63n(vtHi)
 			vt := element.EventAt(chronon.Chronon(lo))
 			if stamp == element.IntervalStamp {
 				vt = element.SpanOf(chronon.Chronon(lo), chronon.Chronon(lo+5))
 			}
-			_, _ = e.Modify(es, vt, diffValues(rng))
+			_, _ = e.ModifyKeyed(context.Background(), es, vt, diffValues(rng), "")
 		}
 	}
 	// Zero thresholds: examine (and respecialize + compact) everything.
@@ -307,10 +307,10 @@ func TestDifferentialUnderConcurrentMutation(t *testing.T) {
 		}
 		vt := vtCur
 		mu.Unlock()
-		el, err := e.Insert(relation.Insertion{
+		el, err := e.InsertKeyed(context.Background(), relation.Insertion{
 			VT:      element.EventAt(chronon.Chronon(vt)),
 			Varying: diffValues(rng),
-		})
+		}, "")
 		if err != nil {
 			return err
 		}
@@ -355,7 +355,7 @@ func TestDifferentialUnderConcurrentMutation(t *testing.T) {
 		}
 		mu.Unlock()
 		if es != 0 {
-			_ = e.Delete(es) // repeats legitimately fail; the race detector is the assertion
+			_ = e.DeleteKeyed(context.Background(), es, "") // repeats legitimately fail; the race detector is the assertion
 		}
 	})
 	spawn(13, time.Millisecond, func(*rand.Rand) { e.Compact() })

@@ -42,23 +42,8 @@ func (c *Catalog) ApplyReplicated(recs []wal.Record) error {
 	if !c.cfg.Follower {
 		return fmt.Errorf("catalog: ApplyReplicated on a non-follower catalog")
 	}
-	touched := make(map[*Entry]bool)
-	for _, rec := range recs {
-		e, err := c.applyWALRecord(rec)
-		if err != nil {
-			return fmt.Errorf("catalog: replicated apply, lsn %d: %w", rec.LSN, err)
-		}
-		if e != nil {
-			touched[e] = true
-		}
-	}
-	for e := range touched {
-		_ = e.locked.Exclusive(func(r *relation.Relation) error {
-			_ = e.rebuildEngine(r)
-			e.publish()
-			return nil
-		})
-		e.dirty.Store(true)
+	if err := c.replay(recs); err != nil {
+		return fmt.Errorf("catalog: replicated apply, %w", err)
 	}
 	return nil
 }

@@ -1,14 +1,23 @@
 package catalog
 
-// Fuzzing for the keyed WAL frame codec: decodeKeyed must never panic on
-// arbitrary bytes, and whatever it accepts must re-encode to the exact
-// input (the frame is replayed verbatim on recovery, so the codec has to
-// be a bijection on its valid domain).
+// Fuzzing for the replay-only keyed WAL frame codec (kinds 6–8): decodeKeyed
+// must never panic on arbitrary bytes, and whatever it accepts must
+// re-encode to the exact input (the frame is replayed verbatim on
+// recovery, so the codec has to be a bijection on its valid domain).
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
+
+// encodeKeyed frames an idempotency key ahead of an unkeyed payload — the
+// layout kinds 6–8 were written in: u16 key length, key bytes, payload.
+func encodeKeyed(key string, payload []byte) []byte {
+	out := binary.LittleEndian.AppendUint16(nil, uint16(len(key)))
+	out = append(out, key...)
+	return append(out, payload...)
+}
 
 func FuzzDecodeKeyed(f *testing.F) {
 	f.Add([]byte{})

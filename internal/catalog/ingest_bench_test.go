@@ -71,7 +71,7 @@ func BenchmarkInsertBatchSingle(b *testing.B) {
 	e := benchWALEntry(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(i))}); err != nil {
+		if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(chronon.Chronon(i))}, ""); err != nil {
 			b.Fatalf("Insert: %v", err)
 		}
 	}

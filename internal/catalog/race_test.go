@@ -6,6 +6,7 @@ package catalog
 // in the interleavings themselves.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -62,7 +63,7 @@ func TestCatalogConcurrentLifecycle(t *testing.T) {
 					t.Errorf("Get: %v", err)
 					return
 				}
-				if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(i % 5))}); err != nil {
+				if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(chronon.Chronon(i % 5))}, ""); err != nil {
 					t.Errorf("insert: %v", err)
 					return
 				}
@@ -81,11 +82,11 @@ func TestCatalogConcurrentLifecycle(t *testing.T) {
 				}
 				switch i % 4 {
 				case 0:
-					e.Current()
+					e.CurrentCtx(context.Background())
 				case 1:
-					e.Timeslice(chronon.Chronon(i % 5))
+					e.TimesliceCtx(context.Background(), chronon.Chronon(i%5))
 				case 2:
-					e.Rollback(chronon.Chronon(i))
+					e.RollbackCtx(context.Background(), chronon.Chronon(i))
 				case 3:
 					e.Info()
 				}

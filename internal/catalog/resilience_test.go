@@ -39,7 +39,7 @@ func TestWALPoisonFlipsReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	el, err := e.Insert(relation.Insertion{VT: element.EventAt(100)})
+	el, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(100)}, "")
 	if err != nil {
 		t.Fatalf("healthy insert: %v", err)
 	}
@@ -47,7 +47,7 @@ func TestWALPoisonFlipsReadOnly(t *testing.T) {
 	// Fail the next file op: the insert's WAL append errors and the log
 	// poisons fail-stop.
 	fs.FailAt(1, wal.FaultError)
-	if _, err := e.Insert(relation.Insertion{VT: element.EventAt(200)}); err == nil {
+	if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(200)}, ""); err == nil {
 		t.Fatal("insert over injected fault succeeded")
 	}
 	if w.Err() == nil {
@@ -55,13 +55,13 @@ func TestWALPoisonFlipsReadOnly(t *testing.T) {
 	}
 
 	// Every mutation path now fails typed ErrReadOnly.
-	if _, err := e.Insert(relation.Insertion{VT: element.EventAt(300)}); !errors.Is(err, ErrReadOnly) {
+	if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(300)}, ""); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("insert on poisoned log = %v, want ErrReadOnly", err)
 	}
-	if err := e.Delete(el.ES); !errors.Is(err, ErrReadOnly) {
+	if err := e.DeleteKeyed(context.Background(), el.ES, ""); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("delete on poisoned log = %v, want ErrReadOnly", err)
 	}
-	if _, err := e.Modify(el.ES, element.EventAt(150), nil); !errors.Is(err, ErrReadOnly) {
+	if _, err := e.ModifyKeyed(context.Background(), el.ES, element.EventAt(150), nil, ""); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("modify on poisoned log = %v, want ErrReadOnly", err)
 	}
 	if _, err := c.Create(eventSchema("dept")); !errors.Is(err, ErrReadOnly) {
@@ -75,7 +75,7 @@ func TestWALPoisonFlipsReadOnly(t *testing.T) {
 	}
 
 	// Reads keep serving the pre-poison state.
-	if got := len(e.Current().Elements); got != 1 {
+	if got := len(currentOf(t, e)); got != 1 {
 		t.Fatalf("degraded Current has %d elements, want 1", got)
 	}
 
@@ -168,6 +168,82 @@ func TestIdempotencyKeyDedupsAndSurvivesReplay(t *testing.T) {
 	if err := e2.DeleteKeyed(ctx, el.ES, "ins-1"); !errors.Is(err, ErrIdemReuse) {
 		t.Fatalf("post-reboot key reuse = %v, want ErrIdemReuse", err)
 	}
+	// The delete and the modify replayed from their data frames dedup
+	// too: the delete acknowledges without a second close, and the modify
+	// answers with the replacement its original commit produced.
+	if err := e2.DeleteKeyed(ctx, victim.ES, "del-1"); err != nil {
+		t.Fatalf("post-reboot replayed delete: %v", err)
+	}
+	replAgain2, err := e2.ModifyKeyed(ctx, el.ES, element.EventAt(150), nil, "mod-1")
+	if err != nil {
+		t.Fatalf("post-reboot replayed modify: %v", err)
+	}
+	if replAgain2.ES != repl.ES {
+		t.Fatalf("post-reboot replayed modify returned ES %v, want %v", replAgain2.ES, repl.ES)
+	}
+	if got := lenOf(t, e2); got != versions {
+		t.Fatalf("post-reboot replays grew history to %d versions, want %d", got, versions)
+	}
+	if _, err := e2.ModifyKeyed(ctx, el.ES, element.EventAt(150), nil, "del-1"); !errors.Is(err, ErrIdemReuse) {
+		t.Fatalf("post-reboot delete key reused for modify = %v, want ErrIdemReuse", err)
+	}
+}
+
+// TestSingleWritesJournalOneDataFrame pins the single data frame: an
+// insert, a delete, and a modify each append exactly one walData record,
+// and the frame holds the mutation's backlog records with its key on the
+// last one — a modify's delete and insert share one transaction time.
+func TestSingleWritesJournalOneDataFrame(t *testing.T) {
+	fs := wal.NewErrFS()
+	w, c := bootErrFS(t, fs)
+	ctx := context.Background()
+	e, err := c.Create(eventSchema("emp"))
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	type want struct {
+		op  relation.Op
+		key string
+	}
+	frame := func(what string, write func() error, wants ...want) {
+		t.Helper()
+		before := w.LastLSN()
+		if err := write(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		recs, _, err := w.IterateFrom(before+1, 0)
+		if err != nil {
+			t.Fatalf("%s: IterateFrom: %v", what, err)
+		}
+		if len(recs) != 1 || recs[0].Kind != walData {
+			t.Fatalf("%s wrote %d records (%+v), want one of kind %d", what, len(recs), recs, walData)
+		}
+		got, err := decodeData(recs[0].Payload)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", what, err)
+		}
+		if len(got) != len(wants) {
+			t.Fatalf("%s frame holds %d records, want %d", what, len(got), len(wants))
+		}
+		for i, wt := range wants {
+			if got[i].rec.Op != wt.op || got[i].key != wt.key {
+				t.Fatalf("%s record %d = op %v key %q, want op %v key %q", what, i, got[i].rec.Op, got[i].key, wt.op, wt.key)
+			}
+		}
+		if len(got) == 2 && got[0].rec.TT != got[1].rec.TT {
+			t.Fatalf("%s pair at tt %v and %v, want one tt", what, got[0].rec.TT, got[1].rec.TT)
+		}
+	}
+	var el *element.Element
+	frame("insert", func() (err error) {
+		el, err = e.InsertKeyed(ctx, relation.Insertion{VT: element.EventAt(100)}, "ins")
+		return err
+	}, want{relation.OpInsert, "ins"})
+	frame("modify", func() (err error) {
+		el, err = e.ModifyKeyed(ctx, el.ES, element.EventAt(110), nil, "mod")
+		return err
+	}, want{relation.OpDelete, ""}, want{relation.OpInsert, "mod"})
+	frame("delete", func() error { return e.DeleteKeyed(ctx, el.ES, "") }, want{relation.OpDelete, ""})
 }
 
 func TestIdempotencyKeyLimits(t *testing.T) {
@@ -186,7 +262,7 @@ func TestIdempotencyKeyLimits(t *testing.T) {
 	// dedups (the retry window has passed), but never errors.
 	w := newDedupWindow()
 	for i := 0; i < dedupWindowCap+10; i++ {
-		w.remember(string(rune('a'+i%26))+itoa(i), dedupInsert, nil)
+		w.remember(string(rune('a'+i%26))+itoa(i), opInsert, nil)
 	}
 	if len(w.m) != dedupWindowCap || len(w.order) != dedupWindowCap {
 		t.Fatalf("window holds %d/%d entries, want %d", len(w.m), len(w.order), dedupWindowCap)

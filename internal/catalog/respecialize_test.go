@@ -31,7 +31,7 @@ import (
 func degenerateInserts(t testing.TB, e *Entry, n int) {
 	t.Helper()
 	for i := 1; i <= n; i++ {
-		if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(10 * i))}); err != nil {
+		if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(chronon.Chronon(10 * i))}, ""); err != nil {
 			t.Fatalf("degenerate insert %d: %v", i, err)
 		}
 	}
@@ -236,7 +236,7 @@ func TestRespecializeAdoptionRevokedByViolatingInsert(t *testing.T) {
 	// degenerate and the sequential property. The adoption was inferred,
 	// not declared, so the insert must be ACCEPTED and the organization
 	// degraded — never the element rejected.
-	el, err := e.Insert(relation.Insertion{VT: element.EventAt(3)})
+	el, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(3)}, "")
 	if err != nil {
 		t.Fatalf("violating insert rejected: %v", err)
 	}
@@ -471,7 +471,7 @@ func TestRespecializeConcurrentStress(t *testing.T) {
 				if i%16 == 15 {
 					vt = chronon.Chronon(1 + i)
 				}
-				if _, err := e.Insert(relation.Insertion{VT: element.EventAt(vt)}); err != nil {
+				if _, err := e.InsertKeyed(ctx, relation.Insertion{VT: element.EventAt(vt)}, ""); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -598,16 +598,16 @@ func TestRespecializeBackwardClockKeepsCommittedElements(t *testing.T) {
 	if org := e2.Physical().Org; org != storage.VTOrdered {
 		t.Fatalf("reloaded org = %v, want the adopted %v", org, storage.VTOrdered)
 	}
-	el, err := e2.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(5))})
+	el, err := e2.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(chronon.Chronon(5))}, "")
 	if err != nil {
 		t.Fatalf("post-restart insert refused: %v", err)
 	}
-	cur := e2.Current()
-	if len(cur.Elements) != n+1 {
-		t.Fatalf("current after acknowledged insert = %d elements, want %d", len(cur.Elements), n+1)
+	cur := currentOf(t, e2)
+	if len(cur) != n+1 {
+		t.Fatalf("current after acknowledged insert = %d elements, want %d", len(cur), n+1)
 	}
 	found := false
-	for _, got := range cur.Elements {
+	for _, got := range cur {
 		if got.ES == el.ES {
 			found = true
 		}

@@ -23,6 +23,7 @@ type relModel struct {
 	inserted []surrogate.Surrogate
 	deleted  map[surrogate.Surrogate]bool
 	decls    int
+	keys     []string // acknowledged idempotency keys
 }
 
 type walModel struct{ rels map[string]*relModel }
@@ -61,7 +62,7 @@ func walWorkload(t *testing.T, c *Catalog, m *walModel) (int, error) {
 
 	// Steps 2-4: three inserts (tt = 10, 20, 30; all predictive).
 	for _, vt := range []chronon.Chronon{50, 60, 70} {
-		el, err := emp().Insert(relation.Insertion{VT: element.EventAt(vt)})
+		el, err := emp().InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(vt)}, "")
 		if err != nil {
 			return steps, err
 		}
@@ -71,7 +72,7 @@ func walWorkload(t *testing.T, c *Catalog, m *walModel) (int, error) {
 
 	// Step 5: delete the first element.
 	first := m.rel("emp").inserted[0]
-	if err := emp().Delete(first); err != nil {
+	if err := emp().DeleteKeyed(context.Background(), first, ""); err != nil {
 		return steps, err
 	}
 	m.rel("emp").deleted[first] = true
@@ -79,7 +80,7 @@ func walWorkload(t *testing.T, c *Catalog, m *walModel) (int, error) {
 
 	// Step 6: modify the second element (logical delete + fresh insert).
 	second := m.rel("emp").inserted[1]
-	repl, err := emp().Modify(second, element.EventAt(80), nil)
+	repl, err := emp().ModifyKeyed(context.Background(), second, element.EventAt(80), nil, "")
 	if err != nil {
 		return steps, err
 	}
@@ -105,9 +106,30 @@ func walWorkload(t *testing.T, c *Catalog, m *walModel) (int, error) {
 		}
 		m.rel("emp").inserted = append(m.rel("emp").inserted, it.Elem.ES)
 	}
+	m.rel("emp").keys = append(m.rel("emp").keys, "bk-1", "bk-2", "bk-3")
 	steps++
 
-	// Step 8: declare a constraint the surviving history satisfies.
+	// Step 8: a keyed delete of the first batched element.
+	batched := m.rel("emp").inserted[len(m.rel("emp").inserted)-3:]
+	if err := emp().DeleteKeyed(context.Background(), batched[0], "kd-1"); err != nil {
+		return steps, err
+	}
+	m.rel("emp").deleted[batched[0]] = true
+	m.rel("emp").keys = append(m.rel("emp").keys, "kd-1")
+	steps++
+
+	// Step 9: a keyed modify of the second; its delete and insert share
+	// one frame, so recovery shows both or neither.
+	krepl, err := emp().ModifyKeyed(context.Background(), batched[1], element.EventAt(150), nil, "km-1")
+	if err != nil {
+		return steps, err
+	}
+	m.rel("emp").deleted[batched[1]] = true
+	m.rel("emp").inserted = append(m.rel("emp").inserted, krepl.ES)
+	m.rel("emp").keys = append(m.rel("emp").keys, "km-1")
+	steps++
+
+	// Step 10: declare a constraint the surviving history satisfies.
 	pred := constraint.Event{Spec: core.PredictiveSpec()}
 	d, ok := constraint.Describe(pred, constraint.PerRelation)
 	if !ok {
@@ -119,7 +141,7 @@ func walWorkload(t *testing.T, c *Catalog, m *walModel) (int, error) {
 	m.rel("emp").decls++
 	steps++
 
-	// Steps 9-10: a second relation with one retroactive insert.
+	// Steps 11-12: a second relation with one retroactive insert.
 	if _, err := c.Create(eventSchema("dept")); err != nil {
 		return steps, err
 	}
@@ -129,7 +151,7 @@ func walWorkload(t *testing.T, c *Catalog, m *walModel) (int, error) {
 	if err != nil {
 		t.Fatalf("Get(dept): %v", err)
 	}
-	el, err := dept.Insert(relation.Insertion{VT: element.EventAt(5)})
+	el, err := dept.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(5)}, "")
 	if err != nil {
 		return steps, err
 	}
@@ -166,6 +188,11 @@ func verifyWALModel(t *testing.T, k int, c *Catalog, m *walModel) {
 		if got := len(e.Info().Declarations); got != rm.decls {
 			t.Fatalf("k=%d: %q has %d declarations, want %d", k, name, got, rm.decls)
 		}
+		for _, key := range rm.keys {
+			if !e.HasIdemKey(key) {
+				t.Fatalf("k=%d: %q forgot acked idempotency key %q", k, name, key)
+			}
+		}
 	}
 	if c.Len() != len(m.rels) {
 		t.Fatalf("k=%d: catalog holds %d relations, want %d acked (%v)", k, c.Len(), len(m.rels), c.Names())
@@ -200,7 +227,7 @@ func TestCatalogWALSnapshotTruncatesAndRecovers(t *testing.T) {
 	}
 	var acked []surrogate.Surrogate
 	for i := 0; i < 30; i++ {
-		el, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(100 + i))})
+		el, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(chronon.Chronon(100 + i))}, "")
 		if err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
@@ -217,13 +244,13 @@ func TestCatalogWALSnapshotTruncatesAndRecovers(t *testing.T) {
 	}
 	// Post-snapshot mutations live only in the log.
 	for i := 30; i < 40; i++ {
-		el, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(100 + i))})
+		el, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(chronon.Chronon(100 + i))}, "")
 		if err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 		acked = append(acked, el.ES)
 	}
-	if err := e.Delete(acked[0]); err != nil {
+	if err := e.DeleteKeyed(context.Background(), acked[0], ""); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	// Abrupt stop: no Snapshot, no Close — the kill -9 path. The group
@@ -339,7 +366,7 @@ func TestCatalogWALCrashPointMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("k=%d: Get(%s): %v", k, name, err)
 				}
-				if _, err := e.Insert(relation.Insertion{VT: element.EventAt(10_000)}); err != nil {
+				if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(10_000)}, ""); err != nil {
 					t.Fatalf("k=%d: post-recovery insert: %v", k, err)
 				}
 			}

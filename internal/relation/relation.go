@@ -23,6 +23,11 @@ var (
 	// ErrWrongStampKind reports a valid time-stamp whose kind (event vs
 	// interval) does not match the relation schema.
 	ErrWrongStampKind = errors.New("relation: valid time-stamp kind does not match schema")
+	// ErrRejected marks a transaction or declaration refused by a declared
+	// specialization: a guard failed, or the stored history violates a new
+	// declaration. Its text is the bare word, so wrapping it reads as
+	// "insert rejected: <cause>".
+	ErrRejected = errors.New("rejected")
 )
 
 // Guard validates transactions before they are applied. The constraint

@@ -30,7 +30,7 @@ func (r *Relation) StageInsert(ins Insertion) (*element.Element, error) {
 	e.TTEnd = chronon.Forever
 	for _, g := range r.guards {
 		if err := g.CheckInsert(r, e); err != nil {
-			return nil, fmt.Errorf("relation %s: insert rejected: %w", r.schema.Name, err)
+			return nil, fmt.Errorf("relation %s: insert %w: %w", r.schema.Name, ErrRejected, err)
 		}
 	}
 	return e, nil
@@ -52,7 +52,7 @@ func (r *Relation) StageDelete(es surrogate.Surrogate) (*element.Element, chrono
 	tt := r.clock.Next()
 	for _, g := range r.guards {
 		if err := g.CheckDelete(r, e, tt); err != nil {
-			return nil, 0, fmt.Errorf("relation %s: delete rejected: %w", r.schema.Name, err)
+			return nil, 0, fmt.Errorf("relation %s: delete %w: %w", r.schema.Name, ErrRejected, err)
 		}
 	}
 	return e, tt, nil
@@ -93,10 +93,10 @@ func (r *Relation) StageModify(es surrogate.Surrogate, vt element.Timestamp, var
 	repl.TTEnd = chronon.Forever
 	for _, g := range r.guards {
 		if err := g.CheckDelete(r, old, tt); err != nil {
-			return nil, nil, 0, fmt.Errorf("relation %s: modify rejected: %w", r.schema.Name, err)
+			return nil, nil, 0, fmt.Errorf("relation %s: modify %w: %w", r.schema.Name, ErrRejected, err)
 		}
 		if err := g.CheckInsert(r, repl); err != nil {
-			return nil, nil, 0, fmt.Errorf("relation %s: modify rejected: %w", r.schema.Name, err)
+			return nil, nil, 0, fmt.Errorf("relation %s: modify %w: %w", r.schema.Name, ErrRejected, err)
 		}
 	}
 	return old, repl, tt, nil

@@ -202,7 +202,7 @@ func TestFollowerAppliesAndReportsStaleness(t *testing.T) {
 			t.Fatalf("create: %v", err)
 		}
 		for i := 0; i < 3; i++ {
-			if _, err := e.Insert(relation.Insertion{VT: element.EventAt(chronon.Chronon(100 + i))}); err != nil {
+			if _, err := e.InsertKeyed(context.Background(), relation.Insertion{VT: element.EventAt(chronon.Chronon(100 + i))}, ""); err != nil {
 				t.Fatalf("insert: %v", err)
 			}
 		}
@@ -240,8 +240,15 @@ func TestFollowerAppliesAndReportsStaleness(t *testing.T) {
 		t.Fatalf("follower Get: %v", err)
 	}
 	pe, _ := pcat.Get("emp")
-	want := pe.Current().Elements
-	got := fe.Current().Elements
+	wantRes, err := pe.CurrentCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRes, err := fe.CurrentCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := wantRes.Elements, gotRes.Elements
 	if len(got) != len(want) {
 		t.Fatalf("follower holds %d current elements, want %d", len(got), len(want))
 	}
@@ -253,7 +260,7 @@ func TestFollowerAppliesAndReportsStaleness(t *testing.T) {
 	}
 
 	// The replica is read-only: every mutation path fails typed.
-	if _, err := fe.Insert(relation.Insertion{VT: element.EventAt(900)}); !errors.Is(err, catalog.ErrReadOnly) {
+	if _, err := fe.InsertKeyed(ctx, relation.Insertion{VT: element.EventAt(900)}, ""); !errors.Is(err, catalog.ErrReadOnly) {
 		t.Fatalf("follower insert = %v, want ErrReadOnly", err)
 	}
 	if _, err := fcat.Create(eventSchema("dept")); !errors.Is(err, catalog.ErrReadOnly) {

@@ -283,7 +283,11 @@ func TestChaosIdempotentRetryPoisonAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Get after recovery: %v", err)
 	}
-	cur := e2.Current().Elements
+	res, err := e2.CurrentCtx(context.Background())
+	if err != nil {
+		t.Fatalf("CurrentCtx after recovery: %v", err)
+	}
+	cur := res.Elements
 	if len(cur) != len(acked) {
 		t.Fatalf("recovered %d current elements, want %d acked", len(cur), len(acked))
 	}

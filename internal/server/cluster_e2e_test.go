@@ -302,12 +302,18 @@ func TestChaosFollowerCatchUp(t *testing.T) {
 	durable := pcat.WAL().DurableLSN()
 
 	// Restart from the same directory: the tail resumes from the
-	// persisted watermarks, not from zero.
-	f = bootFollower(t, fdir, purl)
-	defer f.stop()
-	if resume := f.cat.ResumeLSN(); resume == 0 || resume > applied {
+	// persisted watermarks, not from zero. They are read from a probe
+	// catalog on the directory, because the restarted follower's tail
+	// starts advancing its own watermarks as soon as it boots.
+	probe := catalog.New(catalog.Config{Dir: fdir, Follower: true})
+	if err := probe.Open(); err != nil {
+		t.Fatalf("probe catalog.Open: %v", err)
+	}
+	if resume := probe.ResumeLSN(); resume == 0 || resume > applied {
 		t.Fatalf("restarted follower resume lsn = %d, want in (0, %d]", resume, applied)
 	}
+	f = bootFollower(t, fdir, purl)
+	defer f.stop()
 	waitUntil(t, "catch-up after restart", func() bool {
 		return f.fol.Stats().AppliedLSN >= durable
 	})

@@ -143,7 +143,11 @@ func TestGracefulDrain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Get after reopen: %v", err)
 	}
-	if got := len(e2.Current().Elements); got != 2 {
+	res, err := e2.CurrentCtx(context.Background())
+	if err != nil {
+		t.Fatalf("CurrentCtx after reopen: %v", err)
+	}
+	if got := len(res.Elements); got != 2 {
 		t.Fatalf("recovered %d current elements, want 2 acked", got)
 	}
 }

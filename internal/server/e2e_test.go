@@ -357,3 +357,31 @@ func isBadRequest(err error) bool {
 	var ae *client.APIError
 	return errors.As(err, &ae) && ae.Code == client.CodeBadRequest
 }
+
+// TestErrorCodeIgnoresRelationName pins that error classification reads
+// the error's type, not its text: the same malformed insert is a bad
+// request whatever the relation is called, and a guard refusal is
+// "rejected" on either relation.
+func TestErrorCodeIgnoresRelationName(t *testing.T) {
+	ctx := context.Background()
+	cli, stop := bootServer(t, t.TempDir())
+	defer stop()
+	retro := mustDescriptor(t, constraint.Event{Spec: core.RetroactiveSpec()})
+	for _, name := range []string{"orders", "rejected_orders"} {
+		if _, err := cli.Create(ctx, client.Schema{Name: name, ValidTime: "event", Granularity: 1}); err != nil {
+			t.Fatalf("Create %s: %v", name, err)
+		}
+		// One varying value for a schema with no varying columns.
+		bad := client.InsertRequest{VT: client.EventAt(1), Varying: []client.Value{client.Int(1)}}
+		if _, err := cli.Insert(ctx, name, bad); !isBadRequest(err) {
+			t.Fatalf("%s: malformed insert: err = %v, want bad_request", name, err)
+		}
+		if _, err := cli.Declare(ctx, name, retro); err != nil {
+			t.Fatalf("Declare %s: %v", name, err)
+		}
+		// tt = 10 on a fresh relation; vt 1000 is not retroactive.
+		if _, err := cli.Insert(ctx, name, client.InsertRequest{VT: client.EventAt(1000)}); !client.IsRejected(err) {
+			t.Fatalf("%s: violating insert: err = %v, want rejected", name, err)
+		}
+	}
+}

@@ -244,8 +244,7 @@ func mapError(err error) *apiError {
 		return &apiError{http.StatusConflict, wire.CodeConflict, err.Error()}
 	case errors.Is(err, catalog.ErrBadName), errors.Is(err, relation.ErrWrongStampKind):
 		return &apiError{http.StatusBadRequest, wire.CodeBadRequest, err.Error()}
-	case strings.Contains(err.Error(), "rejected"),
-		strings.Contains(err.Error(), "violates declaration"):
+	case errors.Is(err, relation.ErrRejected), errors.Is(err, catalog.ErrBatchRejected):
 		return &apiError{http.StatusConflict, wire.CodeRejected, err.Error()}
 	default:
 		return errBadRequest("%s", err.Error())
