@@ -101,7 +101,7 @@ bench:
 # `go run ./cmd/benchrunner -exp S4`, the physical-design one -exp S6,
 # the batch-execution one -exp S7.
 bench-smoke:
-	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch)' -benchtime=100ms ./internal/catalog
+	$(GO) test -run=NONE -bench='^(BenchmarkReadPath|BenchmarkAutoSpecialize|BenchmarkInsertBatch|BenchmarkFollowerApply)' -benchtime=100ms ./internal/catalog
 	$(GO) test -run=NONE -bench='^(BenchmarkColumnarScan|BenchmarkTemporalAggregate)' -benchtime=100ms ./internal/storage
 
 clean:

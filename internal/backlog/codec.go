@@ -12,8 +12,12 @@
 //	records: length-prefixed bodies, each followed by a CRC-32C of the body
 //	trailer: record count (u64) + CRC-32C of the header magic+count
 //
-// Every record is individually checksummed, so truncation and corruption
-// are detected at load time rather than silently replayed.
+// Between the schema and the records sit the Meta blocks a format version
+// added: declarations (v2), the applied WAL LSN (v3), the physical design
+// (v4), and the integrity state (v5). Every block and record is
+// individually checksummed, so truncation and corruption are detected at
+// load time rather than silently replayed. One Write/Read pair covers
+// every version, and Save/Load wrap them for files.
 package backlog
 
 import (
@@ -59,23 +63,23 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // stream.
 var ErrCorrupt = errors.New("backlog: corrupt or truncated stream")
 
-// Write serializes the relation's schema and backlog to w, with no
-// declaration catalog.
-func Write(w io.Writer, r *relation.Relation) error {
-	return WriteWithDeclarations(w, r, nil)
-}
-
-// WriteWithDeclarations serializes the relation's schema, its declared
-// specializations (the constraint catalog), and its backlog to w.
-func WriteWithDeclarations(w io.Writer, r *relation.Relation, decls []constraint.Descriptor) error {
-	return WriteWithState(w, r, decls, 0)
-}
-
-// WriteWithState is WriteWithDeclarations plus the relation's applied
-// write-ahead-log LSN: every WAL record at or below walLSN is reflected in
-// the stream, so boot-time replay can skip them.
-func WriteWithState(w io.Writer, r *relation.Relation, decls []constraint.Descriptor, walLSN uint64) error {
-	return WriteWithPhysical(w, r, decls, walLSN, Physical{})
+// Meta is everything a backlog stream carries besides the schema and the
+// records. Blocks a stream's version predates read as their zero value.
+type Meta struct {
+	// Decls is the declaration catalog (v2+); Load re-attaches it as
+	// enforcers.
+	Decls []constraint.Descriptor
+	// WALLSN is the applied write-ahead-log LSN (v3+): every WAL record at
+	// or below it is reflected in the stream, so boot-time replay can skip
+	// them. Zero claims no WAL coverage.
+	WALLSN uint64
+	// Physical is the physical-design block (v4+). The zero value is the
+	// heap with no adopted classes; the catalog then re-advises from the
+	// declarations.
+	Physical Physical
+	// Integrity is the Merkle block (v5+). The zero value is "not
+	// tracked"; the catalog then starts a fresh tree from the next commit.
+	Integrity Integrity
 }
 
 // Physical is the journaled physical-design state of a relation: which
@@ -128,15 +132,9 @@ func decodePhysical(b []byte) (Physical, error) {
 	return p, nil
 }
 
-// WriteWithPhysical is WriteWithState plus the relation's physical-design
-// block.
-func WriteWithPhysical(w io.Writer, r *relation.Relation, decls []constraint.Descriptor, walLSN uint64, phys Physical) error {
-	return WriteWithIntegrity(w, r, decls, walLSN, phys, Integrity{})
-}
-
-// WriteWithIntegrity is WriteWithPhysical plus the relation's integrity
-// block (Merkle leaves and last signed root).
-func WriteWithIntegrity(w io.Writer, r *relation.Relation, decls []constraint.Descriptor, walLSN uint64, phys Physical, ig Integrity) error {
+// Write serializes the relation's schema, meta, and backlog to w in the
+// current format version.
+func Write(w io.Writer, r *relation.Relation, m Meta) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(magic); err != nil {
 		return err
@@ -144,20 +142,17 @@ func WriteWithIntegrity(w io.Writer, r *relation.Relation, decls []constraint.De
 	if err := binary.Write(bw, binary.LittleEndian, uint16(formatVersion)); err != nil {
 		return err
 	}
-	if err := writeBlock(bw, encodeSchema(r.Schema())); err != nil {
-		return err
+	for _, body := range [][]byte{
+		encodeSchema(r.Schema()),
+		encodeDeclarations(m.Decls),
+		binary.LittleEndian.AppendUint64(nil, m.WALLSN),
+		encodePhysical(m.Physical),
+	} {
+		if err := writeBlock(bw, body); err != nil {
+			return err
+		}
 	}
-	if err := writeBlock(bw, encodeDeclarations(decls)); err != nil {
-		return err
-	}
-	state := binary.LittleEndian.AppendUint64(nil, walLSN)
-	if err := writeBlock(bw, state); err != nil {
-		return err
-	}
-	if err := writeBlock(bw, encodePhysical(phys)); err != nil {
-		return err
-	}
-	if err := writeIntegrity(bw, ig); err != nil {
+	if err := writeIntegrity(bw, m.Integrity); err != nil {
 		return err
 	}
 	records := r.Backlog()
@@ -175,42 +170,12 @@ func WriteWithIntegrity(w io.Writer, r *relation.Relation, decls []constraint.De
 	return bw.Flush()
 }
 
-// Read deserializes a schema and backlog from rd, discarding any
-// declaration catalog.
-func Read(rd io.Reader) (relation.Schema, []relation.LogRecord, error) {
-	schema, _, records, err := ReadWithDeclarations(rd)
-	return schema, records, err
-}
-
-// ReadWithDeclarations deserializes a schema, declaration catalog, and
-// backlog from rd. Version-1 streams yield an empty catalog.
-func ReadWithDeclarations(rd io.Reader) (relation.Schema, []constraint.Descriptor, []relation.LogRecord, error) {
-	schema, decls, records, _, err := ReadWithState(rd)
-	return schema, decls, records, err
-}
-
-// ReadWithState is ReadWithDeclarations plus the applied write-ahead-log
-// LSN. Streams older than version 3 yield zero (no WAL coverage claimed).
-func ReadWithState(rd io.Reader) (relation.Schema, []constraint.Descriptor, []relation.LogRecord, uint64, error) {
-	schema, decls, records, walLSN, _, err := ReadWithPhysical(rd)
-	return schema, decls, records, walLSN, err
-}
-
-// ReadWithPhysical is ReadWithState plus the physical-design block.
-// Streams older than version 4 yield the zero Physical (heap organization,
-// no adopted classes) — the catalog then re-advises from declarations as it
-// always did.
-func ReadWithPhysical(rd io.Reader) (relation.Schema, []constraint.Descriptor, []relation.LogRecord, uint64, Physical, error) {
-	schema, decls, records, walLSN, phys, _, err := ReadWithIntegrity(rd)
-	return schema, decls, records, walLSN, phys, err
-}
-
-// ReadWithIntegrity is ReadWithPhysical plus the integrity block.
-// Streams older than version 5 yield the zero Integrity (not tracked) —
-// the catalog then starts a fresh tree from the next commit.
-func ReadWithIntegrity(rd io.Reader) (relation.Schema, []constraint.Descriptor, []relation.LogRecord, uint64, Physical, Integrity, error) {
-	fail := func(err error) (relation.Schema, []constraint.Descriptor, []relation.LogRecord, uint64, Physical, Integrity, error) {
-		return relation.Schema{}, nil, nil, 0, Physical{}, Integrity{}, err
+// Read deserializes a schema, backlog, and meta from rd. Every format
+// version from 1 on is readable; blocks an older stream lacks read as
+// their zero value.
+func Read(rd io.Reader) (relation.Schema, []relation.LogRecord, Meta, error) {
+	fail := func(err error) (relation.Schema, []relation.LogRecord, Meta, error) {
+		return relation.Schema{}, nil, Meta{}, err
 	}
 	br := bufio.NewReader(rd)
 	head := make([]byte, len(magic)+2)
@@ -224,51 +189,42 @@ func ReadWithIntegrity(rd io.Reader) (relation.Schema, []constraint.Descriptor, 
 	if version < 1 || version > formatVersion {
 		return fail(fmt.Errorf("backlog: unsupported format version %d", version))
 	}
-	schemaBody, err := readBlock(br)
+	body, err := readBlock(br)
 	if err != nil {
 		return fail(err)
 	}
-	schema, err := decodeSchema(schemaBody)
+	schema, err := decodeSchema(body)
 	if err != nil {
 		return fail(err)
 	}
-	var decls []constraint.Descriptor
+	var m Meta
 	if version >= 2 {
-		declBody, err := readBlock(br)
-		if err != nil {
-			return fail(err)
+		if body, err = readBlock(br); err == nil {
+			m.Decls, err = decodeDeclarations(body)
 		}
-		decls, err = decodeDeclarations(declBody)
 		if err != nil {
 			return fail(err)
 		}
 	}
-	var walLSN uint64
 	if version >= 3 {
-		stateBody, err := readBlock(br)
+		if body, err = readBlock(br); err == nil && len(body) != 8 {
+			err = fmt.Errorf("%w: bad state block", ErrCorrupt)
+		}
 		if err != nil {
 			return fail(err)
 		}
-		if len(stateBody) != 8 {
-			return fail(fmt.Errorf("%w: bad state block", ErrCorrupt))
-		}
-		walLSN = binary.LittleEndian.Uint64(stateBody)
+		m.WALLSN = binary.LittleEndian.Uint64(body)
 	}
-	var phys Physical
 	if version >= 4 {
-		physBody, err := readBlock(br)
-		if err != nil {
-			return fail(err)
+		if body, err = readBlock(br); err == nil {
+			m.Physical, err = decodePhysical(body)
 		}
-		phys, err = decodePhysical(physBody)
 		if err != nil {
 			return fail(err)
 		}
 	}
-	var ig Integrity
 	if version >= 5 {
-		ig, err = readIntegrity(br)
-		if err != nil {
+		if m.Integrity, err = readIntegrity(br); err != nil {
 			return fail(err)
 		}
 	}
@@ -289,7 +245,7 @@ func ReadWithIntegrity(rd io.Reader) (relation.Schema, []constraint.Descriptor, 
 			if count != uint64(len(records)) {
 				return fail(fmt.Errorf("%w: trailer records %d, read %d", ErrCorrupt, count, len(records)))
 			}
-			return schema, decls, records, walLSN, phys, ig, nil
+			return schema, records, m, nil
 		}
 		body, err := readBlock(br)
 		if err != nil {
@@ -303,38 +259,52 @@ func ReadWithIntegrity(rd io.Reader) (relation.Schema, []constraint.Descriptor, 
 	}
 }
 
-// Save writes the relation to a file, atomically via a temp-and-rename.
-func Save(path string, r *relation.Relation) error {
+// Save writes the relation and its meta to a file atomically: a temp file
+// fsynced before it is renamed over path, so a snapshot claiming WAL
+// coverage is never less durable than the log records it lets the
+// catalog skip.
+func Save(path string, r *relation.Relation, m Meta) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := Write(f, r); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = Write(f, r, m)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	return os.Rename(tmp, path)
 }
 
-// Load reads a file written by Save and replays it into a fresh relation
-// using the given transaction clock.
-func Load(path string, clock tx.Clock) (*relation.Relation, error) {
+// Load reads a file written by Save, replays its backlog into a fresh
+// relation on the given clock, and re-attaches the persisted declarations
+// as enforcers warmed with the replayed history, so new transactions are
+// validated exactly as they were against the originals.
+func Load(path string, clock tx.Clock) (*relation.Relation, Meta, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, Meta{}, err
 	}
 	defer f.Close()
-	schema, records, err := Read(f)
+	schema, records, m, err := Read(f)
 	if err != nil {
-		return nil, err
+		return nil, Meta{}, err
 	}
-	return relation.Replay(schema, clock, records)
+	r, err := relation.Replay(schema, clock, records)
+	if err != nil {
+		return nil, Meta{}, err
+	}
+	if err := constraint.Restore(r, m.Decls); err != nil {
+		return nil, Meta{}, err
+	}
+	return r, m, nil
 }
 
 // writeBlock writes a length-prefixed, checksummed body.

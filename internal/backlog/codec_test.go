@@ -105,10 +105,10 @@ func sameRelations(t *testing.T, a, b *relation.Relation) {
 func TestRoundTrip(t *testing.T) {
 	r := buildRelation(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := Write(&buf, r, Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	schema, records, err := Read(&buf)
+	schema, records, _, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +136,10 @@ func TestRoundTripEmptyRelation(t *testing.T) {
 		Name: "empty", ValidTime: element.EventStamp, Granularity: chronon.Second,
 	}, tx.NewLogicalClock(0, 1))
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := Write(&buf, r, Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	schema, records, err := Read(&buf)
+	schema, records, _, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +154,10 @@ func TestRoundTripIntervalRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := Write(&buf, r, Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	schema, records, err := Read(&buf)
+	schema, records, _, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +171,10 @@ func TestRoundTripIntervalRelation(t *testing.T) {
 func TestReplayContinuesCleanly(t *testing.T) {
 	r := buildRelation(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := Write(&buf, r, Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	schema, records, err := Read(&buf)
+	schema, records, _, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestReplayContinuesCleanly(t *testing.T) {
 func TestCorruptionDetected(t *testing.T) {
 	r := buildRelation(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := Write(&buf, r, Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	pristine := buf.Bytes()
@@ -222,12 +222,12 @@ func TestCorruptionDetected(t *testing.T) {
 	for pos := 0; pos < len(pristine); pos++ {
 		mutated := append([]byte(nil), pristine...)
 		mutated[pos] ^= 0x40
-		_, records, err := Read(bytes.NewReader(mutated))
+		_, records, _, err := Read(bytes.NewReader(mutated))
 		if err == nil {
 			// A flip confined to framing could still parse; it must then
 			// fail replay or produce a different history, never silently
 			// match.
-			schema2, _, _ := Read(bytes.NewReader(pristine))
+			schema2, _, _, _ := Read(bytes.NewReader(pristine))
 			if _, rerr := relation.Replay(schema2, tx.NewLogicalClock(0, 10), records); rerr == nil {
 				t.Fatalf("byte flip at %d went completely undetected", pos)
 			}
@@ -238,25 +238,25 @@ func TestCorruptionDetected(t *testing.T) {
 func TestTruncationDetected(t *testing.T) {
 	r := buildRelation(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := Write(&buf, r, Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for cut := 0; cut < len(full); cut += 7 {
-		if _, _, err := Read(bytes.NewReader(full[:cut])); err == nil {
+		if _, _, _, err := Read(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d undetected", cut)
 		}
 	}
-	if _, _, err := Read(bytes.NewReader(full[:len(full)-1])); err == nil {
+	if _, _, _, err := Read(bytes.NewReader(full[:len(full)-1])); err == nil {
 		t.Fatal("missing final byte undetected")
 	}
 }
 
 func TestBadMagicAndVersion(t *testing.T) {
-	if _, _, err := Read(bytes.NewReader([]byte("NOPE\x01\x00"))); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := Read(bytes.NewReader([]byte("NOPE\x01\x00"))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad magic: %v", err)
 	}
-	if _, _, err := Read(bytes.NewReader([]byte("TSBL\xff\x00"))); err == nil {
+	if _, _, _, err := Read(bytes.NewReader([]byte("TSBL\xff\x00"))); err == nil {
 		t.Error("future version accepted")
 	}
 }
@@ -265,10 +265,10 @@ func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "rel.tsbl")
 	r := buildRelation(t)
-	if err := Save(path, r); err != nil {
+	if err := Save(path, r, Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(path, tx.NewLogicalClock(0, 10))
+	restored, _, err := Load(path, tx.NewLogicalClock(0, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Error("temp file left behind")
 	}
-	if _, err := Load(filepath.Join(dir, "missing.tsbl"), tx.NewLogicalClock(0, 10)); err == nil {
+	if _, _, err := Load(filepath.Join(dir, "missing.tsbl"), tx.NewLogicalClock(0, 10)); err == nil {
 		t.Error("loading missing file succeeded")
 	}
 }

@@ -117,15 +117,15 @@ func TestSaveLoadWithDeclarations(t *testing.T) {
 		t.Fatalf("DescribeEnforcer = %d descs, %d missing", len(descs), missing)
 	}
 	path := filepath.Join(t.TempDir(), "temps.tsbl")
-	if err := SaveWithDeclarations(path, r, descs); err != nil {
+	if err := Save(path, r, Meta{Decls: descs}); err != nil {
 		t.Fatal(err)
 	}
-	restored, gotDescs, err := LoadWithDeclarations(path, tx.NewLogicalClock(1000, 10))
+	restored, m, err := Load(path, tx.NewLogicalClock(1000, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotDescs) != 2 {
-		t.Fatalf("restored %d declarations", len(gotDescs))
+	if len(m.Decls) != 2 {
+		t.Fatalf("restored %d declarations", len(m.Decls))
 	}
 	// The restored relation still enforces: a future event is rejected...
 	if _, err := restored.Insert(relation.Insertion{VT: element.EventAt(99999)}); err == nil {
@@ -180,12 +180,12 @@ func TestVersion1StreamStillReadable(t *testing.T) {
 	binary.LittleEndian.PutUint32(trailer[8:], crc32.Checksum(trailer[:8], castagnoli))
 	buf.Write(trailer[:])
 
-	schema, decls, records, err := ReadWithDeclarations(bytes.NewReader(buf.Bytes()))
+	schema, records, m, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("v1 stream rejected: %v", err)
 	}
-	if schema.Name != "v1" || len(records) != 1 || len(decls) != 0 {
-		t.Errorf("v1 decode: schema %q, %d records, %d decls", schema.Name, len(records), len(decls))
+	if schema.Name != "v1" || len(records) != 1 || len(m.Decls) != 0 {
+		t.Errorf("v1 decode: schema %q, %d records, %d decls", schema.Name, len(records), len(m.Decls))
 	}
 }
 
@@ -228,10 +228,10 @@ func TestLoadWithPerPartitionDeclarations(t *testing.T) {
 
 	descs, _ := constraint.DescribeEnforcer(en)
 	path := filepath.Join(t.TempDir(), "rota.tsbl")
-	if err := SaveWithDeclarations(path, r, descs); err != nil {
+	if err := Save(path, r, Meta{Decls: descs}); err != nil {
 		t.Fatal(err)
 	}
-	restored, _, err := LoadWithDeclarations(path, tx.NewLogicalClock(0, 10))
+	restored, _, err := Load(path, tx.NewLogicalClock(0, 10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func FuzzRead(f *testing.F) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, r); err != nil {
+	if err := Write(&buf, r, Meta{}); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -41,7 +41,7 @@ func FuzzRead(f *testing.F) {
 	f.Add(mutated)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		schema, records, err := Read(bytes.NewReader(data))
+		schema, records, _, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

@@ -31,13 +31,14 @@ func TestPhysicalBlockRoundTrip(t *testing.T) {
 	r := physRelation(t)
 	phys := Physical{Org: 2, Source: "inferred", Adopted: []uint8{1, 4}, Migrations: 3}
 	var buf bytes.Buffer
-	if err := WriteWithPhysical(&buf, r, nil, 17, phys); err != nil {
+	if err := Write(&buf, r, Meta{WALLSN: 17, Physical: phys}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, recs, walLSN, got, err := ReadWithPhysical(bytes.NewReader(buf.Bytes()))
+	_, recs, m, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	walLSN, got := m.WALLSN, m.Physical
 	if walLSN != 17 || len(recs) != 1 {
 		t.Fatalf("walLSN=%d recs=%d", walLSN, len(recs))
 	}
@@ -52,7 +53,7 @@ func TestPhysicalBlockRoundTrip(t *testing.T) {
 func TestPhysicalBlockBackCompat(t *testing.T) {
 	r := physRelation(t)
 	var buf bytes.Buffer
-	if err := WriteWithState(&buf, r, nil, 9); err != nil {
+	if err := Write(&buf, r, Meta{WALLSN: 9}); err != nil {
 		t.Fatal(err)
 	}
 	// Rewrite the version field to 3 and drop the physical and integrity
@@ -75,10 +76,11 @@ func TestPhysicalBlockBackCompat(t *testing.T) {
 	}
 	stream := append(append([]byte{}, v3[:off]...), v3[cut:]...)
 
-	_, _, recs, walLSN, phys, err := ReadWithPhysical(bytes.NewReader(stream))
+	_, recs, m, err := Read(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
+	walLSN, phys := m.WALLSN, m.Physical
 	if walLSN != 9 || len(recs) != 1 {
 		t.Fatalf("walLSN=%d recs=%d", walLSN, len(recs))
 	}

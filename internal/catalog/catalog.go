@@ -7,11 +7,11 @@
 //
 // Durability follows the backlog model (§2's [JMRS90] representation): each
 // relation persists as one checksummed backlog file with its declaration
-// catalog (backlog.SaveWithDeclarations), written atomically via a
-// temp-file rename. Snapshot saves every dirty relation; Open reloads the
-// data directory on boot, replaying each backlog and re-attaching the
-// persisted declarations as enforcers, so a restarted server validates new
-// transactions exactly as the original did.
+// catalog, WAL watermark, physical design, and Merkle state (backlog.Save),
+// written atomically via a fsynced temp-file rename. Snapshot saves every
+// dirty relation; Open reloads the data directory on boot, replaying each
+// backlog and re-attaching the persisted declarations as enforcers, so a
+// restarted server validates new transactions exactly as the original did.
 package catalog
 
 import (
@@ -205,7 +205,7 @@ func (c *Catalog) Open() error {
 			}
 			name := strings.TrimSuffix(de.Name(), fileSuffix)
 			path := filepath.Join(c.cfg.Dir, de.Name())
-			r, decls, walLSN, phys, ig, err := backlog.LoadWithIntegrity(path, c.newClock())
+			r, m, err := backlog.Load(path, c.newClock())
 			if err != nil {
 				if c.cfg.Follower {
 					// A follower's shard is derived state the primary's feed
@@ -234,10 +234,10 @@ func (c *Catalog) Open() error {
 			if r.Schema().Name != name {
 				return fmt.Errorf("catalog: %s holds relation %q, want %q", path, r.Schema().Name, name)
 			}
-			e := c.newEntry(name, relation.NewLocked(r), decls, phys)
+			e := c.newEntry(name, relation.NewLocked(r), m.Decls, m.Physical)
 			e.wal = c.cfg.WAL
-			e.walLSN.Store(walLSN)
-			e.seedIntegrity(ig)
+			e.walLSN.Store(m.WALLSN)
+			e.seedIntegrity(m.Integrity)
 			sh := c.shardFor(name)
 			sh.mu.Lock()
 			if _, dup := sh.entries[name]; dup {
@@ -259,10 +259,13 @@ func (c *Catalog) Open() error {
 }
 
 // replay applies WAL records in LSN order — boot recovery and follower
-// apply alike — then rebuilds each touched relation's engine once, after
-// all its records landed: the store reload is O(versions), not
-// O(versions x records). The publish bumps the epoch past the pre-replay
-// view, so any result cached against an older epoch is dead on arrival.
+// apply alike. Data records apply one at a time through the step the live
+// commit runs after journaling (Entry.applied), so a batch costs what its
+// records cost, not a rebuild of the relation's store. Declaration and
+// respecialize frames rebuild the engine when they apply, as live Declare
+// and Respecialize do. Each touched relation publishes once at the end,
+// bumping its epoch past the pre-replay view, so any result cached
+// against an older epoch is dead on arrival.
 func (c *Catalog) replay(recs []wal.Record) error {
 	touched := make(map[*Entry]bool)
 	for _, rec := range recs {
@@ -275,8 +278,7 @@ func (c *Catalog) replay(recs []wal.Record) error {
 		}
 	}
 	for e := range touched {
-		_ = e.locked.Exclusive(func(r *relation.Relation) error {
-			_ = e.rebuildEngine(r)
+		_ = e.locked.Exclusive(func(*relation.Relation) error {
 			e.publish()
 			return nil
 		})
@@ -319,40 +321,27 @@ func (c *Catalog) applyWALRecord(rec wal.Record) (*Entry, error) {
 	if rec.LSN <= e.walLSN.Load() {
 		return nil, nil
 	}
-	var applyErr error
-	_ = e.locked.Exclusive(func(r *relation.Relation) error {
+	err = e.locked.Exclusive(func(r *relation.Relation) error {
 		switch rec.Kind {
 		case walDeclare:
 			descs, err := backlog.DecodeDeclarations(rec.Payload)
 			if err != nil {
-				applyErr = err
-				return nil
+				return err
 			}
-			byScope, err := constraint.BuildAll(descs)
-			if err != nil {
-				applyErr = err
-				return nil
-			}
-			for scope, cs := range byScope {
-				en := constraint.NewEnforcer(scope, cs...)
-				// The history was validated when the declaration was first
-				// accepted; warm the enforcer without re-checking.
-				for _, brec := range r.Backlog() {
-					en.Applied(r, brec.Op, brec.Elem, brec.TT)
-				}
-				r.AddGuard(en)
+			// The history was validated when the declaration was first
+			// accepted; the enforcers warm without re-checking it.
+			if err := constraint.Restore(r, descs); err != nil {
+				return err
 			}
 			e.decls = append(e.decls, descs...)
 		case walRespecialize:
 			org, source, adopted, err := decodeRespecialize(rec.Payload)
 			if err != nil {
-				applyErr = err
-				return nil
+				return err
 			}
-			// Restore the adoption; the caller's per-touched-relation
-			// rebuild re-derives the organization from it (and from the
-			// replayed history), so primaries and followers land on the
-			// same physical design as the journaling process.
+			// Restore the adoption; the rebuild below re-derives the
+			// organization from it and the history, so primaries and
+			// followers land on the design the journaling process chose.
 			e.adopted = adopted
 			e.migrations++
 			e.history = append(e.history, Migration{
@@ -363,15 +352,15 @@ func (c *Catalog) applyWALRecord(rec wal.Record) (*Entry, error) {
 			// CRC admitted the frame, so a batch never replays as a prefix.
 			recs, err := decodeDataFrame(rec.Kind, rec.Payload)
 			if err != nil {
-				applyErr = err
-				return nil
+				return err
 			}
-			applyErr = e.replayData(r, recs)
+			return e.replayData(r, recs)
 		}
+		_ = e.rebuildEngine(r) // bounds errors only; the engine is valid
 		return nil
 	})
-	if applyErr != nil {
-		return nil, applyErr
+	if err != nil {
+		return nil, err
 	}
 	e.walLSN.Store(rec.LSN)
 	// The leaf hashes the frame exactly as logged — its own kind and
@@ -1430,16 +1419,21 @@ func (e *Entry) snapshotTo(path string) (bool, error) {
 		if !e.dirty.Swap(false) {
 			return nil
 		}
-		phys := backlog.Physical{
-			Org:        uint8(e.advice.Store),
-			Source:     e.advice.Source,
-			Adopted:    classesToU8(e.adopted),
-			Migrations: e.migrations,
-		}
 		// The shared lock excludes every leaf-appending path, so the tree
 		// snapshot is the same cut as walLSN: replay past the watermark
 		// appends each missing leaf exactly once.
-		if err := backlog.SaveWithIntegrity(path, r, e.decls, e.walLSN.Load(), phys, e.integritySnapshot()); err != nil {
+		m := backlog.Meta{
+			Decls:  e.decls,
+			WALLSN: e.walLSN.Load(),
+			Physical: backlog.Physical{
+				Org:        uint8(e.advice.Store),
+				Source:     e.advice.Source,
+				Adopted:    classesToU8(e.adopted),
+				Migrations: e.migrations,
+			},
+			Integrity: e.integritySnapshot(),
+		}
+		if err := backlog.Save(path, r, m); err != nil {
 			e.dirty.Store(true) // retry on the next snapshot
 			return err
 		}

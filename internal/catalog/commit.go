@@ -270,27 +270,15 @@ func (e *Entry) commit(ctx context.Context, muts []mutation, atomic bool) (Batch
 			}
 		}
 		for _, s := range acc {
-			m := muts[s.idx]
+			var closed *element.Element
 			if s.old != nil {
-				// The close lands on a clone (copy-on-close); swap it into the
-				// physical store so the live engine sees the finalized tt⊣
-				// while pinned read views keep the open original.
-				e.engine.Store().Replace(s.old, r.CommitDelete(s.old, s.tt))
+				closed = r.CommitDelete(s.old, s.tt)
 			}
 			if s.el != nil {
 				r.CommitInsert(s.el)
-				e.tracker.Observe(s.el)
-				if serr := e.engine.Store().Insert(s.el); serr != nil {
-					// An ordering promise broken despite enforcement (an
-					// intra-batch violation the pre-batch guards could not
-					// see, say): degrade to the general organization rather
-					// than lose a journaled element.
-					e.decls2general(r, serr)
-				}
 			}
-			if m.key != "" {
-				e.dedup.remember(m.key, m.op, s.el)
-			}
+			m := muts[s.idx]
+			e.applied(r, m.op, m.key, s.old, closed, s.el)
 			res.Items[s.idx] = BatchItemResult{Status: BatchStored, Elem: s.el}
 		}
 		e.publish()
@@ -477,28 +465,57 @@ func decodeModify(b []byte) (del, ins relation.LogRecord, err error) {
 	return del, ins, nil
 }
 
-// replayData applies one frame's records and rebuilds the dedup window
-// exactly as the live commit left it. An insert at the transaction time
-// of the delete just before it is that delete's modify: each mutation
-// takes its own clock tick, so nothing else can share one.
+// applied brings the entry's derived state up to date with one committed
+// mutation: closed replaces old in the physical store (deletes and
+// modifies), el joins the extension tracker and the store (inserts and
+// modifies), and a keyed mutation enters the dedup window. The live
+// commit runs it after journaling and replayData after each record, so
+// primaries, boot recovery, and followers reach the same state.
+func (e *Entry) applied(r *relation.Relation, op opKind, key string, old, closed, el *element.Element) {
+	if old != nil {
+		// The close lands on a clone (copy-on-close); swap it into the
+		// physical store so the live engine sees the finalized tt⊣ while
+		// pinned read views keep the open original.
+		e.engine.Store().Replace(old, closed)
+	}
+	if el != nil {
+		e.tracker.Observe(el)
+		if err := e.engine.Store().Insert(el); err != nil {
+			// An ordering promise broken despite enforcement (an adopted
+			// order the history just violated, or an intra-batch violation
+			// the pre-batch guards could not see): degrade to the general
+			// organization rather than lose a journaled element.
+			e.decls2general(r, err)
+		}
+	}
+	if key != "" {
+		e.dedup.remember(key, op, el)
+	}
+}
+
+// replayData applies one frame's records, each through r.ApplyLog and
+// then applied. An insert at the transaction time of the delete just
+// before it is that delete's modify: each mutation takes its own clock
+// tick, so nothing else can share one.
 func (e *Entry) replayData(r *relation.Relation, recs []dataRecord) error {
 	for i, d := range recs {
+		var old *element.Element
+		if d.rec.Op == relation.OpDelete {
+			old, _ = r.ByES(d.rec.Elem.ES)
+		}
 		if err := r.ApplyLog(d.rec); err != nil {
 			return err
 		}
-		if d.key == "" {
-			continue
-		}
-		if d.rec.Op == relation.OpDelete {
-			e.dedup.remember(d.key, opDelete, nil)
+		now, _ := r.ByES(d.rec.Elem.ES)
+		if old != nil {
+			e.applied(r, opDelete, d.key, old, now, nil)
 			continue
 		}
 		op := opInsert
 		if i > 0 && recs[i-1].rec.Op == relation.OpDelete && recs[i-1].rec.TT == d.rec.TT {
 			op = opModify
 		}
-		el, _ := r.ByES(d.rec.Elem.ES)
-		e.dedup.remember(d.key, op, el)
+		e.applied(r, op, d.key, nil, nil, now)
 	}
 	return nil
 }

@@ -8,8 +8,9 @@ package catalog
 // replays batches of WAL records shipped from the primary through the
 // exact code path boot-time recovery uses. That reuse is the correctness
 // argument: replay is idempotent (records at or below a relation's
-// persisted watermark are skipped per-relation), keyed frames rebuild the
-// idempotency dedup window, and the per-batch engine rebuild publishes a
+// persisted watermark are skipped per-relation), each data record
+// updates the store, tracker, and dedup window through the step the
+// primary's commit ran after journaling it, and each batch publishes a
 // fresh epoch — so a timeslice at epoch E on the follower is the same
 // relation state the primary published at its epoch E' covering the same
 // log prefix (transaction time is append-only; see DESIGN §9).
@@ -35,9 +36,9 @@ func (c *Catalog) Follower() bool { return c.cfg.Follower }
 // primary, in LSN order, through the recovery apply path. Records a
 // relation has already applied (LSN at or below its watermark) are
 // skipped, which makes re-shipment after a reconnect or restart safe.
-// Engines are rebuilt and fresh epochs published once per touched
-// relation per batch, not per record, so catch-up cost is O(versions)
-// per relation, not O(versions x records).
+// Records apply one at a time without rebuilding the store, and each
+// touched relation publishes one fresh epoch per batch, so a batch costs
+// what its records cost whatever the relation's size.
 func (c *Catalog) ApplyReplicated(recs []wal.Record) error {
 	if !c.cfg.Follower {
 		return fmt.Errorf("catalog: ApplyReplicated on a non-follower catalog")

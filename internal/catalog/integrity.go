@@ -395,10 +395,11 @@ func (c *Catalog) verifySnapshotShard(name string) error {
 		return fmt.Errorf("catalog: snapshot %s: %w", name, err)
 	}
 	defer f.Close()
-	_, _, _, _, _, ig, err := backlog.ReadWithIntegrity(f)
+	_, _, m, err := backlog.Read(f)
 	if err != nil {
 		return fmt.Errorf("catalog: snapshot %s: %w", name, err)
 	}
+	ig := m.Integrity
 	if ig.Tracked && ig.Root != nil && ig.Root.Size <= uint64(len(ig.Leaves)) {
 		tr := integrity.NewTreeFromLeaves(ig.Leaves)
 		r, err := tr.RootAt(ig.Root.Size)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/chronon"
 	"repro/internal/core"
 	"repro/internal/interval"
+	"repro/internal/relation"
 )
 
 // DescriptorKind discriminates the constraint kinds a Descriptor can
@@ -282,4 +283,23 @@ func BuildAll(descs []Descriptor) (map[Scope][]Constraint, error) {
 		out[d.Scope] = append(out[d.Scope], c)
 	}
 	return out, nil
+}
+
+// Restore attaches the descriptors' constraints to r as enforcers, one per
+// scope, each warmed with r's backlog so the next transaction is validated
+// against the full state. The history is not re-checked: it was validated
+// when first stored. Snapshot load and declaration replay both use it.
+func Restore(r *relation.Relation, descs []Descriptor) error {
+	byScope, err := BuildAll(descs)
+	if err != nil {
+		return err
+	}
+	for scope, cs := range byScope {
+		en := NewEnforcer(scope, cs...)
+		for _, rec := range r.Backlog() {
+			en.Applied(r, rec.Op, rec.Elem, rec.TT)
+		}
+		r.AddGuard(en)
+	}
+	return nil
 }

@@ -11,146 +11,87 @@ import (
 // Replay reconstructs a relation from a persisted backlog: the append-only
 // journal of insertions and logical deletions is the authoritative history
 // (the backlog representation of [JMRS90] cited in §2), so replaying it
-// rebuilds every historical state. The records must be in non-decreasing
-// transaction-time order with internally consistent surrogates; Replay
-// validates as it goes and rejects corrupt histories.
-//
-// Replayed elements keep their original surrogates and transaction times;
-// the relation's generators are advanced past the replayed maxima so new
-// transactions cannot collide. If the clock supports AdvanceTo (as
-// tx.LogicalClock does) it is advanced to the last replayed transaction
-// time, keeping future transaction times monotone.
+// rebuilds every historical state. Replay is New plus ApplyLog per record,
+// so a corrupt history is rejected by the same validation WAL recovery
+// runs; the error names the offending record's index.
 //
 // Guards are not consulted during replay: the history was validated when
 // it was first stored. Attach enforcers after replaying.
 func Replay(schema Schema, clock tx.Clock, records []LogRecord) (*Relation, error) {
 	r := New(schema, clock)
-	lastTT := chronon.MinChronon
-	var maxES, maxOS uint64
 	for i, rec := range records {
-		if rec.TT < lastTT {
-			return nil, fmt.Errorf("relation: replay record %d: tt %v before %v", i, rec.TT, lastTT)
+		if err := r.ApplyLog(rec); err != nil {
+			return nil, fmt.Errorf("replay record %d: %w", i, err)
 		}
-		lastTT = rec.TT
-		switch rec.Op {
-		case OpInsert:
-			e := rec.Elem
-			if e == nil {
-				return nil, fmt.Errorf("relation: replay record %d: insert without element", i)
-			}
-			if e.ES.IsNone() || e.OS.IsNone() {
-				return nil, fmt.Errorf("relation: replay record %d: missing surrogate", i)
-			}
-			if _, dup := r.byES[e.ES]; dup {
-				return nil, fmt.Errorf("relation: replay record %d: duplicate element surrogate %v", i, e.ES)
-			}
-			if e.VT.Kind() != schema.ValidTime {
-				return nil, fmt.Errorf("relation: replay record %d: %v stamp in %v relation", i, e.VT.Kind(), schema.ValidTime)
-			}
-			if err := checkValues(schema.Name, "time-invariant", schema.Invariant, e.Invariant); err != nil {
-				return nil, fmt.Errorf("relation: replay record %d: %w", i, err)
-			}
-			if err := checkValues(schema.Name, "time-varying", schema.Varying, e.Varying); err != nil {
-				return nil, fmt.Errorf("relation: replay record %d: %w", i, err)
-			}
-			cp := e.Clone()
-			cp.TTStart = rec.TT
-			cp.TTEnd = chronon.Forever
-			r.applyInsert(cp)
-			if u := uint64(cp.ES); u > maxES {
-				maxES = u
-			}
-			if u := uint64(cp.OS); u > maxOS {
-				maxOS = u
-			}
-		case OpDelete:
-			if rec.Elem == nil {
-				return nil, fmt.Errorf("relation: replay record %d: delete without element", i)
-			}
-			target, ok := r.byES[rec.Elem.ES]
-			if !ok {
-				return nil, fmt.Errorf("relation: replay record %d: delete of unknown element %v", i, rec.Elem.ES)
-			}
-			if !target.Current() {
-				return nil, fmt.Errorf("relation: replay record %d: delete of already-deleted element %v", i, rec.Elem.ES)
-			}
-			r.applyDelete(target, rec.TT)
-		default:
-			return nil, fmt.Errorf("relation: replay record %d: unknown op %d", i, rec.Op)
-		}
-	}
-	r.esGen.Reserve(maxES)
-	r.osGen.Reserve(maxOS)
-	if adv, ok := clock.(interface{ AdvanceTo(chronon.Chronon) }); ok && lastTT != chronon.MinChronon {
-		adv.AdvanceTo(lastTT)
 	}
 	return r, nil
 }
 
-// ApplyLog redoes one persisted backlog record against a live relation —
-// the incremental form of Replay, used for write-ahead-log recovery after
-// the snapshot has been replayed. The same validations apply per record:
-// non-decreasing transaction time, consistent surrogates, schema-typed
-// values. Surrogate generators are reserved past the record and an
-// AdvanceTo-capable clock is advanced, exactly as Replay does in bulk.
+// ApplyLog redoes one persisted backlog record against a live relation,
+// validating it first: non-decreasing transaction time, consistent
+// surrogates, schema-typed values. Replayed elements keep their original
+// surrogates and transaction times; the surrogate generators are reserved
+// past the record, and an AdvanceTo-capable clock (tx.LogicalClock) is
+// advanced to its transaction time, so new transactions cannot collide
+// with or precede the history.
 //
 // Guards are not re-checked (the history was validated when first stored)
 // but they do observe the application through Applied, so enforcers
 // attached before recovery end warm.
 func (r *Relation) ApplyLog(rec LogRecord) error {
-	lastTT := chronon.MinChronon
-	if n := len(r.log); n > 0 {
-		lastTT = r.log[n-1].TT
+	if err := r.checkLog(rec); err != nil {
+		return fmt.Errorf("relation %s: log apply: %w", r.schema.Name, err)
 	}
-	if rec.TT < lastTT {
-		return fmt.Errorf("relation %s: log apply: tt %v before %v", r.schema.Name, rec.TT, lastTT)
-	}
-	switch rec.Op {
-	case OpInsert:
-		e := rec.Elem
-		if e == nil {
-			return fmt.Errorf("relation %s: log apply: insert without element", r.schema.Name)
-		}
-		if e.ES.IsNone() || e.OS.IsNone() {
-			return fmt.Errorf("relation %s: log apply: missing surrogate", r.schema.Name)
-		}
-		if _, dup := r.byES[e.ES]; dup {
-			return fmt.Errorf("relation %s: log apply: duplicate element surrogate %v", r.schema.Name, e.ES)
-		}
-		if e.VT.Kind() != r.schema.ValidTime {
-			return fmt.Errorf("relation %s: log apply: %v stamp in %v relation", r.schema.Name, e.VT.Kind(), r.schema.ValidTime)
-		}
-		if err := checkValues(r.schema.Name, "time-invariant", r.schema.Invariant, e.Invariant); err != nil {
-			return fmt.Errorf("relation %s: log apply: %w", r.schema.Name, err)
-		}
-		if err := checkValues(r.schema.Name, "time-varying", r.schema.Varying, e.Varying); err != nil {
-			return fmt.Errorf("relation %s: log apply: %w", r.schema.Name, err)
-		}
-		cp := e.Clone()
+	if rec.Op == OpInsert {
+		cp := rec.Elem.Clone()
 		cp.TTStart = rec.TT
 		cp.TTEnd = chronon.Forever
 		r.applyInsert(cp)
 		r.esGen.Reserve(uint64(cp.ES))
 		r.osGen.Reserve(uint64(cp.OS))
-	case OpDelete:
-		if rec.Elem == nil {
-			return fmt.Errorf("relation %s: log apply: delete without element", r.schema.Name)
-		}
-		target, ok := r.byES[rec.Elem.ES]
-		if !ok {
-			return fmt.Errorf("relation %s: log apply: delete of unknown element %v", r.schema.Name, rec.Elem.ES)
-		}
-		if !target.Current() {
-			return fmt.Errorf("relation %s: log apply: delete of already-deleted element %v", r.schema.Name, rec.Elem.ES)
-		}
-		r.applyDelete(target, rec.TT)
-	default:
-		return fmt.Errorf("relation %s: log apply: unknown op %d", r.schema.Name, rec.Op)
+	} else {
+		r.applyDelete(r.byES[rec.Elem.ES], rec.TT)
 	}
 	if adv, ok := r.clock.(interface{ AdvanceTo(chronon.Chronon) }); ok {
 		adv.AdvanceTo(rec.TT)
 	}
 	return nil
+}
+
+// checkLog validates one backlog record against the relation's state.
+func (r *Relation) checkLog(rec LogRecord) error {
+	if n := len(r.log); n > 0 && rec.TT < r.log[n-1].TT {
+		return fmt.Errorf("tt %v before %v", rec.TT, r.log[n-1].TT)
+	}
+	e := rec.Elem
+	switch {
+	case rec.Op != OpInsert && rec.Op != OpDelete:
+		return fmt.Errorf("unknown op %d", rec.Op)
+	case e == nil:
+		return fmt.Errorf("%v without element", rec.Op)
+	case rec.Op == OpDelete:
+		target, ok := r.byES[e.ES]
+		if !ok {
+			return fmt.Errorf("delete of unknown element %v", e.ES)
+		}
+		if !target.Current() {
+			return fmt.Errorf("delete of already-deleted element %v", e.ES)
+		}
+		return nil
+	}
+	if e.ES.IsNone() || e.OS.IsNone() {
+		return fmt.Errorf("missing surrogate")
+	}
+	if _, dup := r.byES[e.ES]; dup {
+		return fmt.Errorf("duplicate element surrogate %v", e.ES)
+	}
+	if e.VT.Kind() != r.schema.ValidTime {
+		return fmt.Errorf("%v stamp in %v relation", e.VT.Kind(), r.schema.ValidTime)
+	}
+	if err := checkValues(r.schema.Name, "time-invariant", r.schema.Invariant, e.Invariant); err != nil {
+		return err
+	}
+	return checkValues(r.schema.Name, "time-varying", r.schema.Varying, e.Varying)
 }
 
 // ReservedSurrogates reports the highest element and object surrogates in

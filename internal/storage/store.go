@@ -124,23 +124,43 @@ func snapTail(elems []*element.Element) []*element.Element {
 }
 
 // replaceShared performs the copy-when-shared pointer swap common to the
-// slice-backed stores. Replacing inside a frozen snapshot is a bug in the
-// caller (snapshots are immutable), so it trips loudly.
+// slice-backed stores; a missing old copies nothing. Replacing inside a
+// frozen snapshot is a bug in the caller (snapshots are immutable), so it
+// trips loudly.
 func replaceShared(elems []*element.Element, shared *bool, frozen bool, old, repl *element.Element) []*element.Element {
 	if frozen {
 		panic("storage: replace in a frozen snapshot")
+	}
+	i := indexOf(elems, old)
+	if i < 0 {
+		return elems
 	}
 	if *shared {
 		elems = append([]*element.Element(nil), elems...)
 		*shared = false
 	}
-	for i, e := range elems {
-		if e == old {
-			elems[i] = repl
-			break
+	elems[i] = repl
+	return elems
+}
+
+// indexOf finds e by pointer identity, or returns -1. Arrival order is
+// tt⊢ order wherever the clock ran forward, so a binary search lands on
+// the run sharing e's tt⊢ (a modify's delete and insert share one) and
+// the walk checks identity, as relation.swapVersion does. A heap that a
+// backward clock left out of tt⊢ order falls back to a linear scan.
+func indexOf(elems []*element.Element, e *element.Element) int {
+	i := sort.Search(len(elems), func(j int) bool { return elems[j].TTStart >= e.TTStart })
+	for ; i < len(elems) && elems[i].TTStart == e.TTStart; i++ {
+		if elems[i] == e {
+			return i
 		}
 	}
-	return elems
+	for j, x := range elems {
+		if x == e {
+			return j
+		}
+	}
+	return -1
 }
 
 // Elements returns the store's elements in arrival order. For the

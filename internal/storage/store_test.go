@@ -298,3 +298,60 @@ func TestAdviseMentionsPushdownForBoundedClasses(t *testing.T) {
 		}
 	}
 }
+
+// closeAt swaps a closed clone of st's i-th element in by Replace and
+// checks that exactly that slot changed.
+func closeAt(t *testing.T, st Store, i int) {
+	t.Helper()
+	before := append([]*element.Element(nil), Elements(st)...)
+	closed := *before[i]
+	closed.TTEnd = closed.TTStart + 1
+	st.Replace(before[i], &closed)
+	after := Elements(st)
+	for j := range before {
+		want := before[j]
+		if j == i {
+			want = &closed
+		}
+		if after[j] != want {
+			t.Fatalf("%v: replacing slot %d changed slot %d", st.Kind(), i, j)
+		}
+	}
+}
+
+// TestReplaceFindsElement covers replaceShared's lookup: the binary
+// search over tt⊢ at both ends and the middle of a large store, the walk
+// along a modify's run of equal tt⊢, and the linear fallback for a heap a
+// backward clock left out of tt⊢ order.
+func TestReplaceFindsElement(t *testing.T) {
+	for _, st := range []Store{NewHeap(), NewTTLog(), NewVTLog()} {
+		for i := 0; i < 10_000; i++ {
+			fill(t, st, ev(int64(10*i), int64(10*i)))
+		}
+		st.Snapshot() // the first Replace must copy the shared backing
+		for _, i := range []int{0, 5_000, 9_999} {
+			closeAt(t, st, i)
+		}
+	}
+
+	// A modify's delete and insert share one tt⊢; batches stamp runs of
+	// equal tt⊢ too. Every member of the run must be found.
+	run := NewTTLog()
+	fill(t, run, ev(10, 1), ev(20, 2), ev(20, 3), ev(20, 4), ev(30, 5))
+	for i := 1; i <= 3; i++ {
+		closeAt(t, run, i)
+	}
+
+	heap := NewHeap()
+	fill(t, heap, ev(50, 1), ev(60, 2), ev(10, 3), ev(70, 4), ev(20, 5))
+	for i := range 5 {
+		closeAt(t, heap, i)
+	}
+
+	// A missing element is a no-op and leaves the backing shared.
+	snap := heap.Snapshot()
+	heap.Replace(ev(60, 9), ev(60, 9))
+	if &Elements(heap)[0] != &Elements(snap)[0] {
+		t.Fatal("replacing a missing element copied the backing array")
+	}
+}

@@ -26,17 +26,25 @@ var ErrCorruptBacklog = backlog.ErrCorrupt
 // WriteBacklog serializes the relation's schema and backlog to w in the
 // checksummed binary format (the [JMRS90] backlog representation §2
 // cites).
-func WriteBacklog(w io.Writer, r *Relation) error { return backlog.Write(w, r) }
+func WriteBacklog(w io.Writer, r *Relation) error { return backlog.Write(w, r, backlog.Meta{}) }
 
 // ReadBacklog deserializes a schema and backlog from rd.
-func ReadBacklog(rd io.Reader) (Schema, []LogRecord, error) { return backlog.Read(rd) }
+func ReadBacklog(rd io.Reader) (Schema, []LogRecord, error) {
+	schema, records, _, err := backlog.Read(rd)
+	return schema, records, err
+}
 
-// SaveBacklog writes the relation to a file atomically.
-func SaveBacklog(path string, r *Relation) error { return backlog.Save(path, r) }
+// SaveBacklog writes the relation to a file atomically, fsynced before
+// the rename.
+func SaveBacklog(path string, r *Relation) error { return backlog.Save(path, r, backlog.Meta{}) }
 
 // LoadBacklog reads a file written by SaveBacklog and replays it into a
-// fresh relation using the given clock.
-func LoadBacklog(path string, clock Clock) (*Relation, error) { return backlog.Load(path, clock) }
+// fresh relation using the given clock. Declarations the file carries are
+// re-attached as enforcers.
+func LoadBacklog(path string, clock Clock) (*Relation, error) {
+	r, _, err := backlog.Load(path, clock)
+	return r, err
+}
 
 // ConstraintDescriptor is a serializable description of one declared
 // specialization — the catalog entry that lets declarations survive
@@ -58,14 +66,15 @@ func DescribeEnforcer(en *Enforcer) ([]ConstraintDescriptor, int) {
 // SaveBacklogWithDeclarations persists the relation together with its
 // constraint catalog.
 func SaveBacklogWithDeclarations(path string, r *Relation, decls []ConstraintDescriptor) error {
-	return backlog.SaveWithDeclarations(path, r, decls)
+	return backlog.Save(path, r, backlog.Meta{Decls: decls})
 }
 
 // LoadBacklogWithDeclarations loads a relation and re-attaches its
 // persisted constraint catalog, warming the incremental checkers with the
 // replayed history.
 func LoadBacklogWithDeclarations(path string, clock Clock) (*Relation, []ConstraintDescriptor, error) {
-	return backlog.LoadWithDeclarations(path, clock)
+	r, m, err := backlog.Load(path, clock)
+	return r, m.Decls, err
 }
 
 // Replay reconstructs a relation from a backlog. Guards are not consulted;
