@@ -2,17 +2,9 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
-	"strconv"
-	"strings"
-	"sync"
-	"time"
-
-	"repro/internal/wire"
 )
 
 // CachedResponse is a query answer together with its freshness metadata.
@@ -27,37 +19,6 @@ type CachedResponse struct {
 	NotModified bool
 }
 
-// cachedEntry is one locally retained result keyed by its request path.
-type cachedEntry struct {
-	etag string
-	resp QueryResponse
-}
-
-// queryCache is the client-side conditional-request cache. It retains the
-// last response per distinct query path plus the server's ETag; entries
-// are only ever used to answer a 304, so a stale entry costs nothing but
-// memory and is overwritten by the next 200.
-type queryCache struct {
-	mu      sync.Mutex
-	entries map[string]cachedEntry
-}
-
-func (qc *queryCache) get(path string) (cachedEntry, bool) {
-	qc.mu.Lock()
-	defer qc.mu.Unlock()
-	ce, ok := qc.entries[path]
-	return ce, ok
-}
-
-func (qc *queryCache) put(path string, ce cachedEntry) {
-	qc.mu.Lock()
-	defer qc.mu.Unlock()
-	if qc.entries == nil {
-		qc.entries = make(map[string]cachedEntry)
-	}
-	qc.entries[path] = ce
-}
-
 // CachedSelectResponse is a SELECT answer together with its freshness
 // metadata, mirroring CachedResponse for the statement endpoint.
 type CachedSelectResponse struct {
@@ -68,33 +29,18 @@ type CachedSelectResponse struct {
 	NotModified bool
 }
 
-// cachedSelectEntry is one locally retained SELECT result.
-type cachedSelectEntry struct {
-	etag string
-	resp SelectResponse
+// conditional marks a call as a conditional GET (callOpts.cond) and
+// receives the outcome of its decisive attempt. Conditional reads run
+// under the client's retry policy like every other read.
+type conditional struct {
+	etag        string
+	notModified bool
 }
 
-// selectCache is the conditional-request cache for SelectCached, keyed by
-// the full request path (relation + statement).
-type selectCache struct {
-	mu      sync.Mutex
-	entries map[string]cachedSelectEntry
-}
-
-func (sc *selectCache) get(path string) (cachedSelectEntry, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	ce, ok := sc.entries[path]
-	return ce, ok
-}
-
-func (sc *selectCache) put(path string, ce cachedSelectEntry) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.entries == nil {
-		sc.entries = make(map[string]cachedSelectEntry)
-	}
-	sc.entries[path] = ce
+// validated is one remembered 200: the server's ETag and the raw body.
+type validated struct {
+	etag    string
+	payload []byte
 }
 
 // SelectCached runs a tsql SELECT through the server's conditional GET
@@ -106,60 +52,13 @@ func (sc *selectCache) put(path string, ce cachedSelectEntry) {
 // the most where it matters. rel must name the relation the statement
 // queries; the server rejects a mismatch.
 func (c *Client) SelectCached(ctx context.Context, rel, query string) (CachedSelectResponse, error) {
-	path := "/v1/relations/" + rel + "/select?query=" + url.QueryEscape(query)
-
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return CachedSelectResponse{}, fmt.Errorf("tsdbd: building request: %w", err)
-	}
-	cached, haveCached := c.scache.get(path)
-	if haveCached {
-		httpReq.Header.Set(wire.HeaderIfNoneMatch, cached.etag)
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if ms := time.Until(dl).Milliseconds(); ms > 0 {
-			httpReq.Header.Set(wire.HeaderDeadline, strconv.FormatInt(ms, 10))
-		}
-	}
-
-	resp, err := c.http.Do(httpReq)
-	if err != nil {
-		return CachedSelectResponse{}, fmt.Errorf("tsdbd: GET %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return CachedSelectResponse{}, fmt.Errorf("tsdbd: reading response: %w", err)
-	}
-
-	switch {
-	case resp.StatusCode == http.StatusNotModified && haveCached:
-		return CachedSelectResponse{
-			SelectResponse: cached.resp,
-			ETag:           resp.Header.Get(wire.HeaderETag),
-			NotModified:    true,
-		}, nil
-	case resp.StatusCode >= 300:
-		var eb wire.ErrorBody
-		if json.Unmarshal(payload, &eb) == nil && eb.Error.Code != "" {
-			return CachedSelectResponse{}, &APIError{Status: resp.StatusCode, Code: eb.Error.Code, Message: eb.Error.Message}
-		}
-		return CachedSelectResponse{}, &APIError{
-			Status:  resp.StatusCode,
-			Code:    CodeInternal,
-			Message: strings.TrimSpace(string(payload)),
-		}
-	}
-
 	var out SelectResponse
-	if err := json.Unmarshal(payload, &out); err != nil {
-		return CachedSelectResponse{}, fmt.Errorf("tsdbd: decoding response: %w", err)
+	var cond conditional
+	path := "/v1/relations/" + rel + "/select?query=" + url.QueryEscape(query)
+	if err := c.call(ctx, http.MethodGet, path, nil, &out, callOpts{safe: true, cond: &cond}); err != nil {
+		return CachedSelectResponse{}, err
 	}
-	etag := resp.Header.Get(wire.HeaderETag)
-	if etag != "" {
-		c.scache.put(path, cachedSelectEntry{etag: etag, resp: out})
-	}
-	return CachedSelectResponse{SelectResponse: out, ETag: etag}, nil
+	return CachedSelectResponse{SelectResponse: out, ETag: cond.etag, NotModified: cond.notModified}, nil
 }
 
 // QueryCached runs one of the temporal query kinds through the server's
@@ -170,59 +69,11 @@ func (c *Client) SelectCached(ctx context.Context, rel, query string) (CachedSel
 // the wire. A mutation changes the relation's epoch, the validator stops
 // matching, and the next call fetches fresh.
 func (c *Client) QueryCached(ctx context.Context, name string, req QueryRequest) (CachedResponse, error) {
-	path := fmt.Sprintf("/v1/relations/%s/query?kind=%s&vt=%d&tt=%d",
-		name, req.Kind, req.VT, req.TT)
-
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return CachedResponse{}, fmt.Errorf("tsdbd: building request: %w", err)
-	}
-	cached, haveCached := c.qcache.get(path)
-	if haveCached {
-		httpReq.Header.Set(wire.HeaderIfNoneMatch, cached.etag)
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if ms := time.Until(dl).Milliseconds(); ms > 0 {
-			httpReq.Header.Set(wire.HeaderDeadline, strconv.FormatInt(ms, 10))
-		}
-	}
-
-	resp, err := c.http.Do(httpReq)
-	if err != nil {
-		return CachedResponse{}, fmt.Errorf("tsdbd: GET %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return CachedResponse{}, fmt.Errorf("tsdbd: reading response: %w", err)
-	}
-
-	switch {
-	case resp.StatusCode == http.StatusNotModified && haveCached:
-		return CachedResponse{
-			QueryResponse: cached.resp,
-			ETag:          resp.Header.Get(wire.HeaderETag),
-			NotModified:   true,
-		}, nil
-	case resp.StatusCode >= 300:
-		var eb wire.ErrorBody
-		if json.Unmarshal(payload, &eb) == nil && eb.Error.Code != "" {
-			return CachedResponse{}, &APIError{Status: resp.StatusCode, Code: eb.Error.Code, Message: eb.Error.Message}
-		}
-		return CachedResponse{}, &APIError{
-			Status:  resp.StatusCode,
-			Code:    CodeInternal,
-			Message: strings.TrimSpace(string(payload)),
-		}
-	}
-
 	var out QueryResponse
-	if err := json.Unmarshal(payload, &out); err != nil {
-		return CachedResponse{}, fmt.Errorf("tsdbd: decoding response: %w", err)
+	var cond conditional
+	path := fmt.Sprintf("/v1/relations/%s/query?kind=%s&vt=%d&tt=%d", name, req.Kind, req.VT, req.TT)
+	if err := c.call(ctx, http.MethodGet, path, nil, &out, callOpts{safe: true, cond: &cond}); err != nil {
+		return CachedResponse{}, err
 	}
-	etag := resp.Header.Get(wire.HeaderETag)
-	if etag != "" {
-		c.qcache.put(path, cachedEntry{etag: etag, resp: out})
-	}
-	return CachedResponse{QueryResponse: out, ETag: etag}, nil
+	return CachedResponse{QueryResponse: out, ETag: cond.etag, NotModified: cond.notModified}, nil
 }

@@ -22,6 +22,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -209,11 +210,11 @@ type Client struct {
 	base  string
 	http  *http.Client
 	retry RetryPolicy
-	// qcache holds the conditional-request state for QueryCached: the
-	// last response and ETag per distinct query path.
-	qcache queryCache
-	// scache does the same for SelectCached, per distinct statement.
-	scache selectCache
+	// conds is the conditional-request cache behind QueryCached and
+	// SelectCached: request path → the last validated (ETag, body).
+	// Entries only ever answer a 304, so a stale one costs nothing but
+	// memory and is overwritten by the next 200.
+	conds sync.Map
 }
 
 // Option customizes a Client.
@@ -264,6 +265,11 @@ type callOpts struct {
 	// retry for a refused connection is the next node on the ring, not
 	// the same socket after backoff.
 	failFast bool
+	// cond, when non-nil, makes the call a conditional GET: the attempt
+	// revalidates the path's remembered (ETag, body) with If-None-Match,
+	// a 304 decodes the remembered body, and a 200 carrying an ETag is
+	// remembered. The decisive attempt's ETag and 304-ness land in it.
+	cond *conditional
 }
 
 // newIdemKey mints a 128-bit random idempotency key. One key is minted
@@ -380,6 +386,14 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if o.idemKey != "" {
 		req.Header.Set(wire.HeaderIdempotencyKey, o.idemKey)
 	}
+	var prev validated
+	revalidating := false
+	if o.cond != nil {
+		if v, ok := c.conds.Load(path); ok {
+			prev, revalidating = v.(validated), true
+			req.Header.Set(wire.HeaderIfNoneMatch, prev.etag)
+		}
+	}
 	if dl, ok := ctx.Deadline(); ok {
 		if ms := time.Until(dl).Milliseconds(); ms > 0 {
 			req.Header.Set(wire.HeaderDeadline, strconv.FormatInt(ms, 10))
@@ -397,7 +411,18 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if err != nil {
 		return fmt.Errorf("tsdbd: reading response: %w", err)
 	}
-	if resp.StatusCode >= 300 {
+	status := resp.StatusCode
+	if o.cond != nil {
+		*o.cond = conditional{etag: resp.Header.Get(wire.HeaderETag)}
+		switch {
+		case status == http.StatusNotModified && revalidating:
+			payload, status = prev.payload, http.StatusOK
+			o.cond.notModified = true
+		case status < 300 && o.cond.etag != "":
+			c.conds.Store(path, validated{etag: o.cond.etag, payload: payload})
+		}
+	}
+	if status >= 300 {
 		var ra time.Duration
 		if s := resp.Header.Get(wire.HeaderRetryAfter); s != "" {
 			if secs, perr := strconv.Atoi(s); perr == nil && secs > 0 {
@@ -406,10 +431,10 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		}
 		var eb wire.ErrorBody
 		if json.Unmarshal(payload, &eb) == nil && eb.Error.Code != "" {
-			return &APIError{Status: resp.StatusCode, Code: eb.Error.Code, Message: eb.Error.Message, RetryAfter: ra}
+			return &APIError{Status: status, Code: eb.Error.Code, Message: eb.Error.Message, RetryAfter: ra}
 		}
 		return &APIError{
-			Status:     resp.StatusCode,
+			Status:     status,
 			Code:       CodeInternal,
 			Message:    strings.TrimSpace(string(payload)),
 			RetryAfter: ra,

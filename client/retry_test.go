@@ -238,3 +238,54 @@ func TestRetryAfterFloorsBackoff(t *testing.T) {
 		t.Fatalf("retried after %v, want >= 1s (Retry-After floor)", gap)
 	}
 }
+
+// Conditional reads run under the same retry policy as every other read:
+// one shed 503, then the answer on attempt 2.
+func TestConditionalReadsRetry(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		body any
+		call func(c *Client) error
+	}{
+		{"QueryCached", wire.QueryResponse{Elements: []wire.Element{{ES: 7}}, Epoch: 3}, func(c *Client) error {
+			res, err := c.QueryCached(ctx, "emp", QueryRequest{Kind: QueryTimeslice, VT: 5})
+			if err == nil && (len(res.Elements) != 1 || res.ETag != `"emp-3"`) {
+				err = fmt.Errorf("answer %+v", res)
+			}
+			return err
+		}},
+		{"SelectCached", wire.SelectResponse{Columns: []string{"n"}, Touched: 4}, func(c *Client) error {
+			res, err := c.SelectCached(ctx, "emp", "select count(*) from emp group by window(10)")
+			if err == nil && (res.Touched != 4 || res.ETag != `"emp-3"`) {
+				err = fmt.Errorf("answer %+v", res)
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			attempts := 0
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				attempts++
+				n := attempts
+				mu.Unlock()
+				if n == 1 {
+					writeShed(w, http.StatusServiceUnavailable, wire.CodeOverloaded)
+					return
+				}
+				w.Header().Set(wire.HeaderETag, `"emp-3"`)
+				json.NewEncoder(w).Encode(tc.body)
+			}))
+			defer ts.Close()
+			c := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}))
+			if err := tc.call(c); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if attempts != 2 {
+				t.Fatalf("server saw %d attempts, want 2", attempts)
+			}
+		})
+	}
+}

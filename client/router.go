@@ -223,26 +223,6 @@ func (r *Router) Query(ctx context.Context, rel string, req QueryRequest) (Query
 	return out, err
 }
 
-// Current answers the conventional query via the relation's owner.
-func (r *Router) Current(ctx context.Context, rel string) (QueryResponse, error) {
-	return r.Query(ctx, rel, QueryRequest{Kind: QueryCurrent})
-}
-
-// Timeslice answers the historical query via the relation's owner.
-func (r *Router) Timeslice(ctx context.Context, rel string, vt int64) (QueryResponse, error) {
-	return r.Query(ctx, rel, QueryRequest{Kind: QueryTimeslice, VT: vt})
-}
-
-// Rollback answers the rollback query via the relation's owner.
-func (r *Router) Rollback(ctx context.Context, rel string, tt int64) (QueryResponse, error) {
-	return r.Query(ctx, rel, QueryRequest{Kind: QueryRollback, TT: tt})
-}
-
-// TimesliceAsOf answers the bitemporal query via the relation's owner.
-func (r *Router) TimesliceAsOf(ctx context.Context, rel string, vt, tt int64) (QueryResponse, error) {
-	return r.Query(ctx, rel, QueryRequest{Kind: QueryAsOf, VT: vt, TT: tt})
-}
-
 // Select parses the statement for its relation and routes it to that
 // relation's owner.
 func (r *Router) Select(ctx context.Context, query string) (SelectResponse, error) {

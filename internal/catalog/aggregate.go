@@ -5,49 +5,28 @@ import (
 
 	"repro/internal/element"
 	"repro/internal/plan"
-	"repro/internal/qcache"
 	"repro/internal/tsql"
 	"repro/internal/vec"
 )
 
-// aggCacheEntry memoizes an executed window aggregate: the emitted result
-// plus the plan that produced it, so cache hits replay the plan metrics
-// exactly like the element-read cache does.
-type aggCacheEntry struct {
-	res     *tsql.Result
-	node    *plan.Node
-	touched int
-}
-
-// selectAggregate evaluates the GROUP BY WINDOW form of SELECT. The
-// planner (or the statement's USING hint) chooses between the columnar
-// batch engine and the row reference engine; both fold elements in
-// arrival order, so the choice never changes the answer. Results are
-// memoized under (relation, "agg:"+fingerprint, epoch) — an insert bumps
-// the epoch, so cached windows can never serve stale aggregates.
-func (e *Entry) selectAggregate(ctx context.Context, q *tsql.Query) (*tsql.Result, *plan.Node, int, error) {
-	v := e.view.Load()
-	key := qcache.Key{Rel: e.name, Fingerprint: "agg:" + q.Fingerprint(), Epoch: v.epoch}
-	if hit, ok := e.cache.Get(key); ok {
-		ce := hit.(aggCacheEntry)
-		e.plans.Record(ce.node.Leaf().Kind, 0)
-		return ce.res, ce.node, ce.touched, nil
-	}
+// aggregate evaluates the GROUP BY WINDOW form of SELECT against the
+// pinned view. The planner (or the statement's USING hint) chooses between
+// the columnar batch engine and the row reference engine; both fold
+// elements in arrival order, so the choice never changes the answer.
+func (e *Entry) aggregate(ctx context.Context, v *readView, q *tsql.Query) (answer[*tsql.Result], error) {
 	node := tsql.Compile(q, v.engine.Access())
 	spec, err := tsql.BuildAggSpec(q, v.schema)
 	if err != nil {
-		return nil, nil, 0, err
+		return answer[*tsql.Result]{}, err
 	}
 	event := v.schema.ValidTime == element.EventStamp
 	agg, stats, err := v.engine.AggregateCtx(ctx, node, tsql.PlanQuery(q), spec, event)
 	if err != nil {
-		return nil, nil, 0, err
+		return answer[*tsql.Result]{}, err
 	}
 	e.recordBatch(node.Leaf().Kind, stats)
-	res, touched := tsql.AggToResult(q, agg), int(stats.Rows)
-	e.plans.Record(node.Leaf().Kind, touched)
-	e.cache.Put(key, aggCacheEntry{res: res, node: node, touched: touched}, aggResultSize(res))
-	return res, node, touched, nil
+	res := tsql.AggToResult(q, agg)
+	return answer[*tsql.Result]{val: res, node: node, touched: int(stats.Rows), size: aggResultSize(res)}, nil
 }
 
 // aggResultSize approximates a cached aggregate's resident bytes, same

@@ -15,7 +15,6 @@
 package catalog
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -23,7 +22,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,7 +38,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/storage"
-	"repro/internal/tsql"
 	"repro/internal/tx"
 	"repro/internal/wal"
 )
@@ -652,8 +649,11 @@ type Entry struct {
 	physical atomic.Pointer[Physical]
 
 	// plans counts queries and touched elements per plan kind over the
-	// entry's lifetime. It lives here rather than on the engine because
-	// declarations rebuild the engine; the counters must survive that.
+	// entry's lifetime — the one plan-count registry: the read step books
+	// every answer here (0 touched on a cache hit), Info reports it per
+	// relation, and /metrics sums it across relations. It lives here
+	// rather than on the engine because every publish snapshots a fresh
+	// engine; the counters must survive that.
 	plans plan.Recorder
 
 	// Batch-operator counters, recorded on the lock-free aggregate read
@@ -702,13 +702,14 @@ type Entry struct {
 }
 
 // readView is one published epoch of a relation: a frozen store snapshot
-// wrapped in its own engine, the elements in arrival (tt⊢) order for the
-// scan paths, and the schema. A reader that pinned a view observes the
-// relation exactly as of the epoch's publication no matter how many
-// writers commit meanwhile.
+// wrapped in its own engine, the advice that chose its organization, the
+// elements in arrival (tt⊢) order for the scan paths, and the schema. A
+// reader that pinned a view observes the relation exactly as of the
+// epoch's publication no matter how many writers commit meanwhile.
 type readView struct {
 	epoch  uint64
 	engine *query.Engine
+	advice storage.Advice
 	elems  []*element.Element
 	schema relation.Schema
 }
@@ -725,6 +726,7 @@ func (e *Entry) publish() {
 	e.view.Store(&readView{
 		epoch:  ep,
 		engine: en,
+		advice: e.advice,
 		elems:  storage.Elements(en.Store()),
 		schema: e.locked.Schema(),
 	})
@@ -1018,210 +1020,6 @@ func (e *Entry) Declare(descs []constraint.Descriptor) error {
 	return e.waitDurable(lsn)
 }
 
-// QueryResult is a catalog query answer with its access-path accounting.
-type QueryResult struct {
-	Elements []*element.Element
-	Plan     string
-	// Node is the typed plan the engine executed; Plan is its rendering.
-	Node    *plan.Node
-	Touched int
-	// Epoch is the mutation epoch the result was computed against — the
-	// validator the server exposes as an ETag.
-	Epoch uint64
-}
-
-func (e *Entry) toResult(res query.Result) QueryResult {
-	if res.Node != nil {
-		e.plans.Record(res.Node.Leaf().Kind, res.Touched)
-	}
-	return QueryResult{Elements: res.Elements, Plan: res.Plan, Node: res.Node, Touched: res.Touched}
-}
-
-// CurrentCtx answers the conventional query.
-func (e *Entry) CurrentCtx(ctx context.Context) (QueryResult, error) {
-	return e.readCtx(ctx, "current", func(en *query.Engine) query.Result { return en.Current() })
-}
-
-// TimesliceCtx answers the historical query at vt.
-func (e *Entry) TimesliceCtx(ctx context.Context, vt chronon.Chronon) (QueryResult, error) {
-	return e.readCtx(ctx, "ts:"+strconv.FormatInt(int64(vt), 10),
-		func(en *query.Engine) query.Result { return en.Timeslice(vt) })
-}
-
-// RollbackCtx answers the rollback query at tt.
-func (e *Entry) RollbackCtx(ctx context.Context, tt chronon.Chronon) (QueryResult, error) {
-	return e.readCtx(ctx, "rb:"+strconv.FormatInt(int64(tt), 10),
-		func(en *query.Engine) query.Result { return en.Rollback(tt) })
-}
-
-// readCtx runs one engine query against the published read view: readers
-// pin the view with a single atomic load and never touch the relation
-// lock, so a steady writer cannot convoy them. Results are memoized in
-// the catalog's cache under (relation, fingerprint, epoch); a hit is
-// returned without any engine work and still counts on the per-plan-kind
-// metrics (with zero touched — nothing was scanned).
-func (e *Entry) readCtx(ctx context.Context, fp string, run func(en *query.Engine) query.Result) (QueryResult, error) {
-	if err := ctx.Err(); err != nil {
-		return QueryResult{}, err
-	}
-	v := e.view.Load()
-	key := qcache.Key{Rel: e.name, Fingerprint: fp, Epoch: v.epoch}
-	if hit, ok := e.cache.Get(key); ok {
-		qr := hit.(QueryResult)
-		e.plans.Record(qr.Node.Leaf().Kind, 0)
-		return qr, nil
-	}
-	out := e.toResult(run(v.engine))
-	out.Epoch = v.epoch
-	e.cache.Put(key, out, resultSize(out))
-	return out, nil
-}
-
-// resultSize approximates a cached result's resident bytes for the
-// cache's byte budget: a fixed element overhead plus its value slices,
-// plus the plan rendering. Precision doesn't matter — the budget only has
-// to scale with the real footprint.
-func resultSize(qr QueryResult) int64 {
-	n := int64(len(qr.Plan)) + 64
-	for _, el := range qr.Elements {
-		n += 128 + 32*int64(len(el.Invariant)+len(el.Varying)+len(el.UserTimes))
-	}
-	return n
-}
-
-// TimesliceAsOfCtx answers the bitemporal query: elements valid at vt as
-// stored at tt. No physical organization indexes both time dimensions —
-// the planner prices it as the bitemporal full scan — so it scans the
-// pinned view's elements. That makes it the catalog's most expensive
-// read, so the scan is cooperative: it re-checks the context periodically
-// and stops mid-scan when the caller is gone. It memoizes in the result
-// cache, where repeat bitemporal traffic benefits the most.
-func (e *Entry) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon) (QueryResult, error) {
-	if err := ctx.Err(); err != nil {
-		return QueryResult{}, err
-	}
-	v := e.view.Load()
-	fp := "asof:" + strconv.FormatInt(int64(vt), 10) + ":" + strconv.FormatInt(int64(tt), 10)
-	key := qcache.Key{Rel: e.name, Fingerprint: fp, Epoch: v.epoch}
-	if hit, ok := e.cache.Get(key); ok {
-		qr := hit.(QueryResult)
-		e.plans.Record(qr.Node.Leaf().Kind, 0)
-		return qr, nil
-	}
-	node := v.engine.Plan(plan.Query{Kind: plan.QAsOf, VTLo: int64(vt), TT: int64(tt)})
-	els, err := asOfScan(ctx, v.elems, vt, tt)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	out := QueryResult{
-		Elements: els, Plan: node.String(), Node: node,
-		Touched: len(v.elems), Epoch: v.epoch,
-	}
-	e.plans.Record(node.Leaf().Kind, out.Touched)
-	e.cache.Put(key, out, resultSize(out))
-	return out, nil
-}
-
-// asOfCheckEvery matches the relation layer's cooperative-scan cadence.
-const asOfCheckEvery = 1024
-
-// asOfScan is the bitemporal full scan over a pinned view's elements,
-// cooperative like relation.TimesliceAsOfCtx.
-func asOfScan(ctx context.Context, elems []*element.Element, vt, tt chronon.Chronon) ([]*element.Element, error) {
-	var out []*element.Element
-	for i, el := range elems {
-		if i%asOfCheckEvery == asOfCheckEvery-1 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if el.PresentAt(tt) && el.ValidAt(vt) {
-			out = append(out, el)
-		}
-	}
-	return out, nil
-}
-
-// selectScratch pools candidate slices for SELECTs that must re-sort an
-// index seek's output into insertion order, so the hot path stops
-// allocating a fresh slice per query.
-var selectScratch = sync.Pool{New: func() any { return new([]*element.Element) }}
-
-// esOrdered reports whether the candidates already carry ascending
-// element surrogates. Surrogates are assigned in insertion order and the
-// log organizations yield arrival order, so only the B-tree index seek
-// (vt-key order over a heap) normally fails this and pays the sort.
-func esOrdered(els []*element.Element) bool {
-	for i := 1; i < len(els); i++ {
-		if els[i].ES < els[i-1].ES {
-			return false
-		}
-	}
-	return true
-}
-
-// SelectCtx evaluates a parsed tsql query against the pinned view,
-// lock-free. The query's Rel must name this entry. The statement is
-// compiled onto the engine's planned access path: when the plan's leaf is
-// a specialized strategy (vt binary search, tt-window pushdown, index
-// seek), the engine produces the candidate set and only it is evaluated;
-// otherwise every version is scanned, cooperatively re-checking the
-// context. The returned node is the executed plan; touched is its
-// access-path cost.
-func (e *Entry) SelectCtx(ctx context.Context, q *tsql.Query) (*tsql.Result, *plan.Node, int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, 0, err
-	}
-	if q.Group != nil {
-		return e.selectAggregate(ctx, q)
-	}
-	v := e.view.Load()
-	node := tsql.Compile(q, v.engine.Access())
-	var res *tsql.Result
-	var err error
-	touched := len(v.elems)
-	switch node.Leaf().Kind {
-	case plan.VTBinarySearch, plan.TTWindowPushdown, plan.BTreeIndexSeek:
-		pq := tsql.PlanQuery(q)
-		qres := v.engine.VTRange(chronon.Chronon(pq.VTLo), chronon.Chronon(pq.VTHi))
-		touched = qres.Touched
-		if esOrdered(qres.Elements) {
-			// Already the backlog scan's row order; evaluate in place.
-			res, err = tsql.EvalOnCtx(ctx, q, v.schema, qres.Elements)
-			break
-		}
-		// An ES sort restores the backlog scan's row order exactly; sort a
-		// pooled scratch copy, never the store's slice.
-		sp := selectScratch.Get().(*[]*element.Element)
-		cands := append((*sp)[:0], qres.Elements...)
-		sort.Slice(cands, func(i, j int) bool { return cands[i].ES < cands[j].ES })
-		res, err = tsql.EvalOnCtx(ctx, q, v.schema, cands)
-		clear(cands) // drop element references before pooling
-		*sp = cands[:0]
-		selectScratch.Put(sp)
-	default:
-		res, err = tsql.EvalOnCtx(ctx, q, v.schema, v.elems)
-	}
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	e.plans.Record(node.Leaf().Kind, touched)
-	return res, node, touched, nil
-}
-
-// Explain compiles the plan a SELECT would execute, without running it.
-// It reads the published view's engine — one atomic load, no relation
-// lock — so planning traffic never queues behind writers.
-func (e *Entry) Explain(q *tsql.Query) *plan.Node {
-	return tsql.Compile(q, e.view.Load().engine.Access())
-}
-
-// PlanFor builds the plan for one of the engine's query shapes, without
-// executing it. Lock-free like Explain.
-func (e *Entry) PlanFor(pq plan.Query) *plan.Node {
-	return e.view.Load().engine.Plan(pq)
-}
-
 // Vacuum physically removes versions dead at or before the horizon (see
 // relation.Vacuum), rebuilds the physical store over the survivors, and
 // publishes a fresh epoch so pinned views keep serving the pre-vacuum
@@ -1363,7 +1161,8 @@ func (e *Entry) physicalLocked() Physical {
 	}
 }
 
-// PlanStats reports the entry's lifetime per-plan-kind counters.
+// PlanStats reports the entry's lifetime per-plan-kind counters — the one
+// registry every read books on (see read).
 func (e *Entry) PlanStats() map[string]plan.KindStats { return e.plans.Snapshot() }
 
 // Classify infers the extension's specializations under the insertion
@@ -1386,14 +1185,12 @@ type Info struct {
 	Versions     int
 	Declarations []constraint.Descriptor
 	Advice       storage.Advice
-	// Plans is the entry's lifetime query count per plan kind.
-	Plans map[string]plan.KindStats
 	// Physical is the relation's current physical design.
 	Physical Physical
 }
 
 // Info reports the entry's schema, size, declarations, current advice,
-// physical design, and per-plan-kind query counters.
+// and physical design.
 func (e *Entry) Info() Info {
 	var info Info
 	_ = e.locked.View(func(r *relation.Relation) error {
@@ -1402,7 +1199,6 @@ func (e *Entry) Info() Info {
 			Versions:     r.Len(),
 			Declarations: append([]constraint.Descriptor(nil), e.decls...),
 			Advice:       e.advice,
-			Plans:        e.plans.Snapshot(),
 			Physical:     e.physicalLocked(),
 		}
 		return nil

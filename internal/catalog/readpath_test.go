@@ -14,6 +14,7 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/element"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/tsql"
 	"repro/internal/wal"
@@ -332,7 +333,8 @@ func TestSnapshotReadStress(t *testing.T) {
 						return
 					}
 				case 5:
-					if n := e.Explain(sel); n == nil {
+					ex, err := e.ExplainCtx(ctx, "sel", func(a plan.Access) *plan.Node { return tsql.Compile(sel, a) })
+					if err != nil || ex.Node == nil {
 						t.Error("explain returned nil plan")
 						return
 					}

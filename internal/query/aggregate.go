@@ -62,7 +62,6 @@ func (en *Engine) AggregateCtx(ctx context.Context, node *plan.Node, pq plan.Que
 		if err != nil {
 			return nil, stats, err
 		}
-		en.record(node, int(stats.Rows))
 		return res, stats, nil
 	}
 	elems, touched := en.aggregateCandidates(leaf, pq)
@@ -71,7 +70,6 @@ func (en *Engine) AggregateCtx(ctx context.Context, node *plan.Node, pq plan.Que
 	if err != nil {
 		return nil, stats, err
 	}
-	en.record(node, touched)
 	return res, stats, nil
 }
 

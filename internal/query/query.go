@@ -12,7 +12,6 @@ package query
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/chronon"
 	"repro/internal/core"
@@ -36,14 +35,10 @@ type Result struct {
 
 // Engine executes temporal queries over a store. Queries are safe to run
 // concurrently as long as the store is not being mutated (the catalog layer
-// serializes writers against readers); the lifetime counters are atomic so
-// concurrent readers never race.
+// serializes writers against readers).
 type Engine struct {
 	store   storage.Store
 	classes []core.Class
-	queries atomic.Int64
-	touched atomic.Int64
-	plans   plan.Recorder
 
 	// Bounded-specialization pushdown: when the relation is declared with
 	// a two-sided fixed bound lo ≤ vt − tt ≤ hi, a valid-time predicate
@@ -63,12 +58,6 @@ func (en *Engine) UseVTOffsetBounds(lo, hi int64) error {
 	}
 	en.boundLo, en.boundHi, en.hasBounds = lo, hi, true
 	return nil
-}
-
-// Stats accumulates engine-lifetime counters.
-type Stats struct {
-	Queries int
-	Touched int
 }
 
 // New builds an engine over a store built for the given declared classes.
@@ -107,14 +96,6 @@ func (en *Engine) Snapshot() *Engine {
 		hasBounds: en.hasBounds,
 	}
 }
-
-// Stats reports engine-lifetime counters.
-func (en *Engine) Stats() Stats {
-	return Stats{Queries: int(en.queries.Load()), Touched: int(en.touched.Load())}
-}
-
-// PlanStats reports engine-lifetime touched counts per plan kind.
-func (en *Engine) PlanStats() map[string]plan.KindStats { return en.plans.Snapshot() }
 
 // Access describes the store's capabilities to the planner.
 func (en *Engine) Access() plan.Access {
@@ -155,17 +136,12 @@ func (en *Engine) Access() plan.Access {
 // the EXPLAIN entry point.
 func (en *Engine) Plan(q plan.Query) *plan.Node { return plan.Build(en.Access(), q) }
 
-func (en *Engine) record(n *plan.Node, touched int) {
-	en.queries.Add(1)
-	en.touched.Add(int64(touched))
-	en.plans.Record(n.Leaf().Kind, touched)
-}
-
-// run plans the query, executes the chosen access path, and accounts it.
-func (en *Engine) run(q plan.Query) Result {
+// Run plans one of the engine's query shapes (all but the bitemporal
+// as-of, which no organization indexes), executes the chosen access path,
+// and reports what it touched.
+func (en *Engine) Run(q plan.Query) Result {
 	node := plan.Build(en.Access(), q)
 	els, touched := en.execute(node, q)
-	en.record(node, touched)
 	return Result{Elements: els, Plan: node.String(), Node: node, Touched: touched}
 }
 
@@ -210,13 +186,13 @@ func (en *Engine) execute(node *plan.Node, q plan.Query) ([]*element.Element, in
 
 // Timeslice answers the historical query: current elements valid at vt.
 func (en *Engine) Timeslice(vt chronon.Chronon) Result {
-	return en.run(plan.Query{Kind: plan.QTimeslice, VTLo: int64(vt), VTHi: int64(vt) + 1})
+	return en.Run(plan.Query{Kind: plan.QTimeslice, VTLo: int64(vt), VTHi: int64(vt) + 1})
 }
 
 // VTRange answers a historical range query: current elements valid during
 // any part of [lo, hi).
 func (en *Engine) VTRange(lo, hi chronon.Chronon) Result {
-	return en.run(plan.Query{Kind: plan.QVTRange, VTLo: int64(lo), VTHi: int64(hi)})
+	return en.Run(plan.Query{Kind: plan.QVTRange, VTLo: int64(lo), VTHi: int64(hi)})
 }
 
 // validInRange reports whether the element's valid time intersects
@@ -232,11 +208,11 @@ func validInRange(e *element.Element, lo, hi chronon.Chronon) bool {
 // Rollback answers the rollback query: elements present at transaction
 // time tt.
 func (en *Engine) Rollback(tt chronon.Chronon) Result {
-	return en.run(plan.Query{Kind: plan.QRollback, TT: int64(tt)})
+	return en.Run(plan.Query{Kind: plan.QRollback, TT: int64(tt)})
 }
 
 // Current answers the conventional query: the elements of the current
 // state. Every organization answers it with a scan of live elements.
 func (en *Engine) Current() Result {
-	return en.run(plan.Query{Kind: plan.QCurrent})
+	return en.Run(plan.Query{Kind: plan.QCurrent})
 }

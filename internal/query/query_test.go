@@ -137,14 +137,6 @@ func TestCurrentAndStats(t *testing.T) {
 	if len(res.Elements) != 10 {
 		t.Errorf("current = %d elements", len(res.Elements))
 	}
-	en.Timeslice(5)
-	st := en.Stats()
-	if st.Queries != 2 {
-		t.Errorf("Queries = %d", st.Queries)
-	}
-	if st.Touched != res.Touched+10 {
-		t.Errorf("Touched = %d", st.Touched)
-	}
 }
 
 func TestForRelationLoadFailure(t *testing.T) {

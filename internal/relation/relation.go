@@ -345,7 +345,7 @@ func (r *Relation) Timeslice(vt chronon.Chronon) []*element.Element {
 // historical state as stored at transaction time tt whose facts are valid
 // at vt.
 func (r *Relation) TimesliceAsOf(vt, tt chronon.Chronon) []*element.Element {
-	out, _ := r.TimesliceAsOfCtx(context.Background(), vt, tt)
+	out, _ := AsOfScan(context.Background(), r.versions, vt, tt)
 	return out
 }
 
@@ -354,14 +354,15 @@ func (r *Relation) TimesliceAsOf(vt, tt chronon.Chronon) []*element.Element {
 // burning CPU promptly, rare enough to cost nothing per element.
 const cancelCheckEvery = 1024
 
-// TimesliceAsOfCtx is TimesliceAsOf with cooperative cancellation: the
-// scan re-checks ctx every cancelCheckEvery elements and returns ctx's
-// error mid-scan when the caller has given up. It is the two-dimension
-// full scan no physical organization indexes, hence the catalog's most
+// AsOfScan is the bitemporal query over elems (a relation's versions or a
+// pinned snapshot of them) with cooperative cancellation: the scan
+// re-checks ctx every cancelCheckEvery elements and returns ctx's error
+// mid-scan when the caller has given up. It is the two-dimension full
+// scan no physical organization indexes, hence the catalog's most
 // expensive read and the one worth interrupting.
-func (r *Relation) TimesliceAsOfCtx(ctx context.Context, vt, tt chronon.Chronon) ([]*element.Element, error) {
+func AsOfScan(ctx context.Context, elems []*element.Element, vt, tt chronon.Chronon) ([]*element.Element, error) {
 	var out []*element.Element
-	for i, e := range r.versions {
+	for i, e := range elems {
 		if i%cancelCheckEvery == cancelCheckEvery-1 {
 			if err := ctx.Err(); err != nil {
 				return nil, err

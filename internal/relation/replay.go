@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/chronon"
-	"repro/internal/surrogate"
 	"repro/internal/tx"
 )
 
@@ -92,10 +91,4 @@ func (r *Relation) checkLog(rec LogRecord) error {
 		return err
 	}
 	return checkValues(r.schema.Name, "time-varying", r.schema.Varying, e.Varying)
-}
-
-// ReservedSurrogates reports the highest element and object surrogates in
-// use, for persistence metadata.
-func (r *Relation) ReservedSurrogates() (es, os surrogate.Surrogate) {
-	return surrogate.Surrogate(r.esGen.Issued()), surrogate.Surrogate(r.osGen.Issued())
 }

@@ -23,13 +23,14 @@ import (
 	"repro/internal/wire"
 )
 
-// bootCachedServer is bootServer with the query-result cache enabled.
-func bootCachedServer(t *testing.T, dir string) (*client.Client, string, func()) {
+// bootCachedServer is bootServer with a query-result cache of cacheBytes
+// (0 disables it), also returning the base URL for raw requests.
+func bootCachedServer(t *testing.T, dir string, cacheBytes int64) (*client.Client, string, func()) {
 	t.Helper()
 	cat := catalog.New(catalog.Config{
 		Dir:        dir,
 		NewClock:   func() tx.Clock { return tx.NewLogicalClock(0, 10) },
-		CacheBytes: 1 << 20,
+		CacheBytes: cacheBytes,
 	})
 	if err := cat.Open(); err != nil {
 		t.Fatalf("catalog.Open: %v", err)
@@ -73,7 +74,7 @@ func getWithValidator(t *testing.T, url, inm string) *http.Response {
 
 func TestConditionalGetQuery(t *testing.T) {
 	ctx := context.Background()
-	c, base, stop := bootCachedServer(t, t.TempDir())
+	c, base, stop := bootCachedServer(t, t.TempDir(), 1<<20)
 	defer stop()
 	if _, err := c.Create(ctx, empSchema()); err != nil {
 		t.Fatalf("Create: %v", err)
@@ -138,7 +139,7 @@ func TestConditionalGetQuery(t *testing.T) {
 
 func TestConditionalExplain(t *testing.T) {
 	ctx := context.Background()
-	c, base, stop := bootCachedServer(t, t.TempDir())
+	c, base, stop := bootCachedServer(t, t.TempDir(), 1<<20)
 	defer stop()
 	if _, err := c.Create(ctx, empSchema()); err != nil {
 		t.Fatalf("Create: %v", err)
@@ -164,7 +165,7 @@ func TestConditionalExplain(t *testing.T) {
 
 func TestClientQueryCached(t *testing.T) {
 	ctx := context.Background()
-	c, _, stop := bootCachedServer(t, t.TempDir())
+	c, _, stop := bootCachedServer(t, t.TempDir(), 1<<20)
 	defer stop()
 	if _, err := c.Create(ctx, empSchema()); err != nil {
 		t.Fatalf("Create: %v", err)

@@ -1,9 +1,10 @@
 package server_test
 
 // Fuzzing the HTTP decode surface: arbitrary bytes posted at the
-// transaction and query endpoints must always produce a well-formed JSON
-// response with a sensible status — never a panic escaping the handler and
-// never a 500 from the decode/convert path.
+// transaction and query endpoints, or sent as the raw query string of the
+// GET read endpoints, must always produce a well-formed JSON response with
+// a sensible status — never a panic escaping the handler and never a 500
+// from the decode/convert path.
 
 import (
 	"bytes"
@@ -38,26 +39,39 @@ func newFuzzHandler(f *testing.F) http.Handler {
 	return srv.Handler()
 }
 
-// post drives one payload through the handler and applies the shared
-// invariants: a valid status, JSON out, and no internal error.
-func post(t *testing.T, h http.Handler, path string, payload []byte) *httptest.ResponseRecorder {
+// post drives one payload through the handler as a request body.
+func post(t *testing.T, h http.Handler, path string, payload []byte) {
+	t.Helper()
+	serve(t, h, httptest.NewRequest("POST", path, bytes.NewReader(payload)), payload)
+}
+
+// get drives one payload through the handler as the raw query string of a
+// GET, bypassing URL parsing so malformed escapes reach the handler.
+func get(t *testing.T, h http.Handler, path string, payload []byte) {
+	t.Helper()
+	req := httptest.NewRequest("GET", path, nil)
+	req.URL.RawQuery = string(payload)
+	serve(t, h, req, payload)
+}
+
+// serve applies the shared invariants: a valid status, JSON out, and no
+// internal error.
+func serve(t *testing.T, h http.Handler, req *http.Request, payload []byte) {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	req := httptest.NewRequest("POST", path, bytes.NewReader(payload))
 	h.ServeHTTP(rec, req)
 	if rec.Code >= 500 {
-		t.Fatalf("POST %s %q: status %d: %s", path, payload, rec.Code, rec.Body)
+		t.Fatalf("%s %s %q: status %d: %s", req.Method, req.URL.Path, payload, rec.Code, rec.Body)
 	}
 	if !json.Valid(rec.Body.Bytes()) {
-		t.Fatalf("POST %s %q: non-JSON response %q", path, payload, rec.Body)
+		t.Fatalf("%s %s %q: non-JSON response %q", req.Method, req.URL.Path, payload, rec.Body)
 	}
 	if rec.Code >= 400 {
 		var eb wire.ErrorBody
 		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error.Code == "" {
-			t.Fatalf("POST %s %q: error response without code: %s", path, payload, rec.Body)
+			t.Fatalf("%s %s %q: error response without code: %s", req.Method, req.URL.Path, payload, rec.Body)
 		}
 	}
-	return rec
 }
 
 func FuzzDecodeTransaction(f *testing.F) {
@@ -90,9 +104,21 @@ func FuzzDecodeQuery(f *testing.F) {
 	f.Add([]byte(`{"query":"select ((("}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`"kind"`))
+	f.Add([]byte(`kind=asof&vt=5&tt=-1`))
+	f.Add([]byte(`kind=timeslice&vt=9223372036854775807`))
+	f.Add([]byte(`kind=rollback&tt=1e9`))
+	f.Add([]byte(`query=select+name+from+emp+when+valid+at+5`))
+	f.Add([]byte(`query=select+count(*)+from+emp+group+by+window(10)`))
+	f.Add([]byte(`query=explain+select+*+from+emp`))
+	f.Add([]byte(`query=select+*+from+other`))
+	f.Add([]byte(`query=%zz&kind=%`))
+	f.Add([]byte(`kind=current;vt=1&&=`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		post(t, h, "/v1/relations/emp/query", payload)
 		post(t, h, "/v1/select", payload)
+		get(t, h, "/v1/relations/emp/query", payload)
+		get(t, h, "/v1/relations/emp/select", payload)
+		get(t, h, "/v1/relations/emp/explain", payload)
 	})
 }
 

@@ -30,10 +30,6 @@ func (s *Server) RunScrubber(ctx context.Context) {
 	s.scrubber.Run(ctx, s.cfg.ScrubInterval, nil)
 }
 
-// Scrubber exposes the server's scrubber (nil when integrity tracking
-// is disabled) so an operator process can drive passes directly.
-func (s *Server) Scrubber() *integrity.Scrubber { return s.scrubber }
-
 // signedRootInfo renders a signed root for the wire.
 func signedRootInfo(sr integrity.SignedRoot) wire.SignedRootInfo {
 	root := sr.Root

@@ -8,20 +8,14 @@ import (
 )
 
 // Metrics accumulates per-endpoint request counts, latency summaries, and
-// elements-touched counters (the access-path accounting the storage layer
-// reports for every query). One registry serves the whole server; /metrics
-// renders it as JSON.
+// elements-touched counters. One registry serves the whole server;
+// /metrics renders it as JSON, next to the per-plan-kind counts summed
+// from each relation's own registry.
 type Metrics struct {
 	start time.Time
 
-	mu    sync.Mutex
-	eps   map[string]*endpointStats
-	plans map[string]*planStats
-}
-
-type planStats struct {
-	requests uint64
-	touched  uint64
+	mu  sync.Mutex
+	eps map[string]*endpointStats
 }
 
 type endpointStats struct {
@@ -38,23 +32,6 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		start: time.Now(),
 		eps:   make(map[string]*endpointStats),
-		plans: make(map[string]*planStats),
-	}
-}
-
-// RecordPlan accounts one executed query against its plan kind (a
-// plan.NodeKind slug — the access-path leaf, not the decorators).
-func (m *Metrics) RecordPlan(kind string, touched int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ps, ok := m.plans[kind]
-	if !ok {
-		ps = &planStats{}
-		m.plans[kind] = ps
-	}
-	ps.requests++
-	if touched > 0 {
-		ps.touched += uint64(touched)
 	}
 }
 
@@ -106,12 +83,6 @@ func (m *Metrics) Report() wire.MetricsResponse {
 		out.Endpoints[name] = em
 		out.Requests += ep.requests
 		out.Errors += ep.errors
-	}
-	if len(m.plans) > 0 {
-		out.Plans = make(map[string]wire.PlanMetrics, len(m.plans))
-		for kind, ps := range m.plans {
-			out.Plans[kind] = wire.PlanMetrics{Requests: ps.requests, Touched: ps.touched}
-		}
 	}
 	return out
 }

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -51,7 +52,6 @@ import (
 	"repro/internal/element"
 	"repro/internal/integrity"
 	"repro/internal/plan"
-	"repro/internal/qcache"
 	"repro/internal/relation"
 	"repro/internal/repl"
 	"repro/internal/surrogate"
@@ -151,11 +151,11 @@ func New(cfg Config) *Server {
 	mux.Handle("POST /v1/relations/{name}/delete", s.wrap("delete", ClassWrite, s.handleDelete))
 	mux.Handle("POST /v1/relations/{name}/modify", s.wrap("modify", ClassWrite, s.handleModify))
 	mux.Handle("POST /v1/relations/{name}/query", s.wrap("query", ClassRead, s.handleQuery))
-	mux.Handle("GET /v1/relations/{name}/query", s.wrap("query", ClassRead, s.handleQueryGet))
+	mux.Handle("GET /v1/relations/{name}/query", s.wrap("query", ClassRead, s.handleQuery))
 	mux.Handle("GET /v1/relations/{name}/classify", s.wrap("classify", ClassRead, s.handleClassify))
 	mux.Handle("GET /v1/relations/{name}/explain", s.wrap("explain", ClassRead, s.handleExplain))
 	mux.Handle("POST /v1/select", s.wrap("select", ClassRead, s.handleSelect))
-	mux.Handle("GET /v1/relations/{name}/select", s.wrap("select", ClassRead, s.handleSelectGet))
+	mux.Handle("GET /v1/relations/{name}/select", s.wrap("select", ClassRead, s.handleSelect))
 	mux.Handle("POST /v1/snapshot", s.wrap("snapshot", ClassAdmin, s.handleSnapshot))
 	mux.Handle("GET /v1/relations/{name}/integrity", s.wrap("integrity", ClassRead, s.handleIntegrity))
 	mux.Handle("GET /v1/relations/{name}/integrity/proof", s.wrap("integrity_proof", ClassRead, s.handleIntegrityProof))
@@ -179,9 +179,6 @@ func New(cfg Config) *Server {
 
 // Handler returns the fully wrapped HTTP handler.
 func (s *Server) Handler() http.Handler { return s.handler }
-
-// Metrics exposes the server's metrics registry.
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Drain flips the server into graceful-shutdown mode: requests already
 // executing run to completion, while every new non-probe request is
@@ -572,6 +569,7 @@ func (s *Server) handleMetrics(*http.Request) (*response, *apiError) {
 		is := e.IngestStats()
 		ing.Batches += is.Batches
 		ing.BatchedElements += is.Elements
+		rep.Plans = addPlans(rep.Plans, e.PlanStats())
 	}
 	if batch.ColumnarPicks > 0 || batch.RowPicks > 0 {
 		if batch.Batches > 0 {
@@ -670,7 +668,7 @@ func infoBody(e *catalog.Entry) wire.RelationInfo {
 	info := e.Info()
 	phys := physicalBody(info.Physical)
 	integrityProvenance(&phys, e)
-	out := wire.RelationInfo{
+	return wire.RelationInfo{
 		Schema:       wire.FromSchema(info.Schema),
 		Versions:     info.Versions,
 		Declarations: wire.FromDescriptors(info.Declarations),
@@ -680,17 +678,24 @@ func infoBody(e *catalog.Entry) wire.RelationInfo {
 			Source:  info.Advice.Source,
 		},
 		Physical: &phys,
+		Plans:    addPlans(nil, e.PlanStats()),
 	}
-	if len(info.Plans) > 0 {
-		out.Plans = make(map[string]wire.PlanMetrics, len(info.Plans))
-		for kind, ks := range info.Plans {
-			out.Plans[kind] = wire.PlanMetrics{
-				Requests: uint64(ks.Queries),
-				Touched:  uint64(ks.Touched),
-			}
+}
+
+// addPlans adds a relation's per-plan-kind counts onto their wire form,
+// allocating dst on first use (so no counts stay a nil map, omitted on
+// the wire). /metrics sums every relation's counts this way.
+func addPlans(dst map[string]wire.PlanMetrics, src map[string]plan.KindStats) map[string]wire.PlanMetrics {
+	for kind, ks := range src {
+		if dst == nil {
+			dst = make(map[string]wire.PlanMetrics, len(src))
 		}
+		pm := dst[kind]
+		pm.Requests += uint64(ks.Queries)
+		pm.Touched += uint64(ks.Touched)
+		dst[kind] = pm
 	}
-	return out
+	return dst
 }
 
 func (s *Server) handleCreate(r *http.Request) (*response, *apiError) {
@@ -835,91 +840,72 @@ func (s *Server) handleModify(r *http.Request) (*response, *apiError) {
 	return &response{body: wire.ElementResponse{Element: wire.FromElement(el)}, touched: 2}, nil
 }
 
-// runQueryKind dispatches one of the engine's query kinds against an entry.
-func (s *Server) runQueryKind(ctx context.Context, e *catalog.Entry, kind string, vt, tt int64) (catalog.QueryResult, *apiError) {
-	var res catalog.QueryResult
-	var err error
-	switch kind {
-	case wire.QueryCurrent:
-		res, err = e.CurrentCtx(ctx)
-	case wire.QueryTimeslice:
-		res, err = e.TimesliceCtx(ctx, chronon.Chronon(vt))
-	case wire.QueryRollback:
-		res, err = e.RollbackCtx(ctx, chronon.Chronon(tt))
-	case wire.QueryAsOf:
-		res, err = e.TimesliceAsOfCtx(ctx, chronon.Chronon(vt), chronon.Chronon(tt))
-	default:
-		return catalog.QueryResult{}, errBadRequest("unknown query kind %q (want %s|%s|%s|%s)",
-			kind, wire.QueryCurrent, wire.QueryTimeslice, wire.QueryRollback, wire.QueryAsOf)
-	}
-	if err != nil {
-		return catalog.QueryResult{}, mapError(err)
-	}
-	if res.Node != nil {
-		s.metrics.RecordPlan(res.Node.Leaf().Kind.String(), res.Touched)
-	}
-	return res, nil
-}
-
-func queryResponseBody(res catalog.QueryResult) wire.QueryResponse {
-	return wire.QueryResponse{
-		Elements: wire.FromElements(res.Elements),
-		Plan:     res.Plan,
-		PlanNode: wire.FromPlanNode(res.Node),
-		Touched:  res.Touched,
-		Epoch:    res.Epoch,
-	}
-}
-
+// handleQuery serves both forms of the query endpoint: POST carries a
+// wire.QueryRequest body, GET the same fields as URL parameters so
+// intermediaries can cache (conditional, see notModified).
 func (s *Server) handleQuery(r *http.Request) (*response, *apiError) {
 	e, aerr := s.entry(r)
 	if aerr != nil {
 		return nil, aerr
 	}
 	var req wire.QueryRequest
-	if aerr := decode(r, &req); aerr != nil {
-		return nil, aerr
+	if r.Method == http.MethodGet {
+		req, aerr = queryParams(r.URL.Query())
+	} else {
+		aerr = decode(r, &req)
 	}
-	res, aerr := s.runQueryKind(r.Context(), e, req.Kind, req.VT, req.TT)
 	if aerr != nil {
 		return nil, aerr
 	}
-	return &response{body: queryResponseBody(res), touched: res.Touched}, nil
+	pq, aerr := queryShape(req)
+	if aerr != nil {
+		return nil, aerr
+	}
+	if nm := notModified(r, e); nm != nil {
+		return nm, nil
+	}
+	res, err := e.QueryCtx(r.Context(), pq)
+	if err != nil {
+		return nil, mapError(err)
+	}
+	return validated(r, e, res.Epoch, &response{body: wire.QueryResponse{
+		Elements: wire.FromElements(res.Elements),
+		Plan:     res.Plan,
+		PlanNode: wire.FromPlanNode(res.Node),
+		Touched:  res.Touched,
+		Epoch:    res.Epoch,
+	}, touched: res.Touched}), nil
 }
 
-// handleQueryGet is the cache-aware form of the query endpoint: the same
-// kinds as POST, addressed by query parameters so intermediaries can cache,
-// with the relation's mutation epoch as the ETag validator. A client whose
-// If-None-Match still names the current epoch gets 304 and no query runs.
-func (s *Server) handleQueryGet(r *http.Request) (*response, *apiError) {
-	e, aerr := s.entry(r)
-	if aerr != nil {
-		return nil, aerr
-	}
-	name := r.PathValue("name")
-	params := r.URL.Query()
+// queryParams reads the engine-vocabulary query from URL parameters
+// (?kind=...&vt=...&tt=...), the GET form of a wire.QueryRequest.
+func queryParams(params url.Values) (wire.QueryRequest, *apiError) {
 	vt, aerr := parseInt64Param(params.Get("vt"), "vt")
 	if aerr != nil {
-		return nil, aerr
+		return wire.QueryRequest{}, aerr
 	}
 	tt, aerr := parseInt64Param(params.Get("tt"), "tt")
 	if aerr != nil {
-		return nil, aerr
+		return wire.QueryRequest{}, aerr
 	}
-	if inm := r.Header.Get(wire.HeaderIfNoneMatch); inm != "" {
-		if et := queryETag(name, e.Epoch()); etagMatch(inm, et) {
-			return &response{status: http.StatusNotModified, etag: et}, nil
-		}
+	return wire.QueryRequest{Kind: params.Get("kind"), VT: vt, TT: tt}, nil
+}
+
+// queryShape maps a wire query onto the planner's query shape — the one
+// mapping the query and explain endpoints share.
+func queryShape(req wire.QueryRequest) (plan.Query, *apiError) {
+	switch req.Kind {
+	case wire.QueryCurrent:
+		return plan.Query{Kind: plan.QCurrent}, nil
+	case wire.QueryTimeslice:
+		return plan.Query{Kind: plan.QTimeslice, VTLo: req.VT, VTHi: req.VT + 1}, nil
+	case wire.QueryRollback:
+		return plan.Query{Kind: plan.QRollback, TT: req.TT}, nil
+	case wire.QueryAsOf:
+		return plan.Query{Kind: plan.QAsOf, VTLo: req.VT, TT: req.TT}, nil
 	}
-	res, aerr := s.runQueryKind(r.Context(), e, params.Get("kind"), vt, tt)
-	if aerr != nil {
-		return nil, aerr
-	}
-	return &response{
-		body:    queryResponseBody(res),
-		touched: res.Touched,
-		etag:    queryETag(name, res.Epoch),
-	}, nil
+	return plan.Query{}, errBadRequest("unknown query kind %q (want %s|%s|%s|%s)",
+		req.Kind, wire.QueryCurrent, wire.QueryTimeslice, wire.QueryRollback, wire.QueryAsOf)
 }
 
 // parseInt64Param parses an optional integer query parameter ("" is 0).
@@ -934,6 +920,45 @@ func parseInt64Param(v, key string) (int64, *apiError) {
 	return n, nil
 }
 
+// notModified is the conditional half of a GET read: a request whose
+// If-None-Match still names the relation's current epoch gets 304 before
+// any query work. Other methods are not cacheable and always run.
+func notModified(r *http.Request, e *catalog.Entry) *response {
+	if r.Method != http.MethodGet {
+		return nil
+	}
+	inm := r.Header.Get(wire.HeaderIfNoneMatch)
+	if inm == "" {
+		return nil
+	}
+	if et := queryETag(e.Name(), e.Epoch()); etagMatch(inm, et) {
+		return &response{status: http.StatusNotModified, etag: et}
+	}
+	return nil
+}
+
+// validated stamps a GET answer with the epoch it was computed at as its
+// ETag.
+func validated(r *http.Request, e *catalog.Entry, epoch uint64, res *response) *response {
+	if r.Method == http.MethodGet {
+		res.etag = queryETag(e.Name(), epoch)
+	}
+	return res
+}
+
+// parseStatement parses a tsql statement. A route that addresses a
+// relation (addressed non-empty) only runs statements that query it.
+func parseStatement(src, addressed string) (*tsql.Query, *apiError) {
+	q, err := tsql.Parse(src)
+	if err != nil {
+		return nil, errBadRequest("%s", err.Error())
+	}
+	if addressed != "" && q.Rel != addressed {
+		return nil, errBadRequest("statement queries %q, endpoint addresses %q", q.Rel, addressed)
+	}
+	return q, nil
+}
+
 // handleExplain plans a query without running it. The query is given
 // either as a full statement (?query=SELECT ...) or as the engine
 // vocabulary (?kind=current|timeslice|rollback|asof&vt=...&tt=...).
@@ -942,74 +967,46 @@ func (s *Server) handleExplain(r *http.Request) (*response, *apiError) {
 	if aerr != nil {
 		return nil, aerr
 	}
-	name := r.PathValue("name")
 	params := r.URL.Query()
-
-	// Planning is keyed by the raw parameters and the mutation epoch: a
-	// repeat EXPLAIN against an unmutated relation is served from the
-	// result cache (and a client that revalidates with If-None-Match gets
-	// 304 without planning at all).
-	epoch := e.Epoch()
-	etag := queryETag(name, epoch)
-	if inm := r.Header.Get(wire.HeaderIfNoneMatch); inm != "" && etagMatch(inm, etag) {
-		return &response{status: http.StatusNotModified, etag: etag}, nil
-	}
-	cache := s.cat.Cache()
-	ckey := qcache.Key{Rel: name, Fingerprint: "explain:" + params.Encode(), Epoch: epoch}
-	if v, ok := cache.Get(ckey); ok {
-		return &response{body: v.(wire.ExplainResponse), etag: etag}, nil
-	}
-
-	var node *plan.Node
-	var echo string
 	if src := params.Get("query"); src != "" {
-		q, err := tsql.Parse(src)
-		if err != nil {
-			return nil, errBadRequest("%s", err.Error())
-		}
-		if q.Rel != name {
-			return nil, errBadRequest("statement queries %q, endpoint addresses %q", q.Rel, name)
-		}
-		node = e.Explain(q)
-		echo = src
-	} else {
-		kind := params.Get("kind")
-		vt, aerr := parseInt64Param(params.Get("vt"), "vt")
+		q, aerr := parseStatement(src, e.Name())
 		if aerr != nil {
 			return nil, aerr
 		}
-		tt, aerr := parseInt64Param(params.Get("tt"), "tt")
-		if aerr != nil {
-			return nil, aerr
-		}
-		var pq plan.Query
-		switch kind {
-		case wire.QueryCurrent:
-			pq = plan.Query{Kind: plan.QCurrent}
-		case wire.QueryTimeslice:
-			pq = plan.Query{Kind: plan.QTimeslice, VTLo: vt, VTHi: vt + 1}
-		case wire.QueryRollback:
-			pq = plan.Query{Kind: plan.QRollback, TT: tt}
-		case wire.QueryAsOf:
-			pq = plan.Query{Kind: plan.QAsOf, VTLo: vt, TT: tt}
-		default:
-			return nil, errBadRequest("need ?query=... or ?kind=%s|%s|%s|%s",
-				wire.QueryCurrent, wire.QueryTimeslice, wire.QueryRollback, wire.QueryAsOf)
-		}
-		node = e.PlanFor(pq)
-		echo = fmt.Sprintf("kind=%s vt=%d tt=%d", kind, vt, tt)
+		return explain(r, e, src, func(a plan.Access) *plan.Node { return tsql.Compile(q, a) })
 	}
-	advice := e.Info().Advice
-	body := wire.ExplainResponse{
-		Relation:    name,
+	req, aerr := queryParams(params)
+	if aerr != nil {
+		return nil, aerr
+	}
+	pq, aerr := queryShape(req)
+	if aerr != nil {
+		return nil, aerr
+	}
+	echo := fmt.Sprintf("kind=%s vt=%d tt=%d", req.Kind, req.VT, req.TT)
+	return explain(r, e, echo, func(a plan.Access) *plan.Node { return plan.Build(a, pq) })
+}
+
+// explain answers both EXPLAIN surfaces — the explain endpoint and an
+// EXPLAIN statement posted to /v1/select — with one ExplainResponse,
+// planned through the catalog's read step (so a repeat against an
+// unmutated relation is a cache hit) and, on GET, revalidated by epoch.
+func explain(r *http.Request, e *catalog.Entry, echo string, build func(plan.Access) *plan.Node) (*response, *apiError) {
+	if nm := notModified(r, e); nm != nil {
+		return nm, nil
+	}
+	ex, err := e.ExplainCtx(r.Context(), echo, build)
+	if err != nil {
+		return nil, mapError(err)
+	}
+	return validated(r, e, ex.Epoch, &response{body: wire.ExplainResponse{
+		Relation:    e.Name(),
 		Query:       echo,
-		Store:       advice.Store.String(),
-		StoreSource: advice.Source,
-		Plan:        wire.FromPlanNode(node),
-		Rendered:    node.Render(),
-	}
-	cache.Put(ckey, body, int64(len(body.Query)+len(body.Rendered))+256)
-	return &response{body: body, etag: etag}, nil
+		Store:       ex.Store.String(),
+		StoreSource: ex.Source,
+		Plan:        wire.FromPlanNode(ex.Node),
+		Rendered:    ex.Node.Render(),
+	}}), nil
 }
 
 func (s *Server) handleClassify(r *http.Request) (*response, *apiError) {
@@ -1031,39 +1028,57 @@ func (s *Server) handleClassify(r *http.Request) (*response, *apiError) {
 	return &response{body: out, touched: e.Info().Versions}, nil
 }
 
+// handleSelect serves both forms of SELECT: POST /v1/select carries the
+// statement in a wire.SelectRequest body and resolves the relation from
+// it; GET /v1/relations/{name}/select carries it as ?query= so
+// intermediaries can cache, and answers conditionally like GET queries.
+// Window aggregates are the intended GET tenant: their results are
+// windows, not elements, so they are cheap to revalidate and expensive to
+// recompute. An EXPLAIN statement is planned, not run (POST only).
 func (s *Server) handleSelect(r *http.Request) (*response, *apiError) {
-	var req wire.SelectRequest
-	if aerr := decode(r, &req); aerr != nil {
-		return nil, aerr
+	get := r.Method == http.MethodGet
+	var src, addressed string
+	if get {
+		if _, aerr := s.entry(r); aerr != nil {
+			return nil, aerr
+		}
+		addressed = r.PathValue("name")
+		if src = r.URL.Query().Get("query"); src == "" {
+			return nil, errBadRequest("need ?query=SELECT ...")
+		}
+	} else {
+		var req wire.SelectRequest
+		if aerr := decode(r, &req); aerr != nil {
+			return nil, aerr
+		}
+		src = req.Query
 	}
-	q, err := tsql.Parse(req.Query)
-	if err != nil {
-		return nil, errBadRequest("%s", err.Error())
+	q, aerr := parseStatement(src, addressed)
+	if aerr != nil {
+		return nil, aerr
 	}
 	e, err := s.cat.Get(q.Rel)
 	if err != nil {
 		return nil, mapError(err)
 	}
 	if q.Explain {
-		node := e.Explain(q)
-		advice := e.Info().Advice
-		return &response{body: wire.ExplainResponse{
-			Relation:    q.Rel,
-			Query:       req.Query,
-			Store:       advice.Store.String(),
-			StoreSource: advice.Source,
-			Plan:        wire.FromPlanNode(node),
-			Rendered:    node.Render(),
-		}}, nil
+		if get {
+			return nil, errBadRequest("EXPLAIN is not cacheable; use the explain endpoint")
+		}
+		return explain(r, e, src, func(a plan.Access) *plan.Node { return tsql.Compile(q, a) })
 	}
+	if nm := notModified(r, e); nm != nil {
+		return nm, nil
+	}
+	// Read before the statement pins its view: a writer landing in between
+	// leaves the ETag older than the rows, which only costs the client a
+	// refetch — never a stale 304.
+	epoch := e.Epoch()
 	res, node, touched, err := e.SelectCtx(r.Context(), q)
 	if err != nil {
 		return nil, mapError(err)
 	}
-	if node != nil {
-		s.metrics.RecordPlan(node.Leaf().Kind.String(), touched)
-	}
-	return &response{body: selectBody(q, res, node, touched), touched: touched}, nil
+	return validated(r, e, epoch, &response{body: selectBody(q, res, node, touched), touched: touched}), nil
 }
 
 // selectBody renders a SELECT result for the wire. Aggregate statements
@@ -1088,52 +1103,6 @@ func selectBody(q *tsql.Query, res *tsql.Result, node *plan.Node, touched int) w
 		}
 	}
 	return out
-}
-
-// handleSelectGet is the cache-aware form of SELECT: the statement rides a
-// query parameter so intermediaries can cache, with the relation's mutation
-// epoch as the ETag validator — the same protocol as the GET query endpoint.
-// A client whose If-None-Match still names the current epoch gets 304 and no
-// query runs; aggregates are the intended tenant (their results are windows,
-// not elements, so they are cheap to revalidate and expensive to recompute).
-func (s *Server) handleSelectGet(r *http.Request) (*response, *apiError) {
-	e, aerr := s.entry(r)
-	if aerr != nil {
-		return nil, aerr
-	}
-	name := r.PathValue("name")
-	src := r.URL.Query().Get("query")
-	if src == "" {
-		return nil, errBadRequest("need ?query=SELECT ...")
-	}
-	q, err := tsql.Parse(src)
-	if err != nil {
-		return nil, errBadRequest("%s", err.Error())
-	}
-	if q.Rel != name {
-		return nil, errBadRequest("statement queries %q, endpoint addresses %q", q.Rel, name)
-	}
-	if q.Explain {
-		return nil, errBadRequest("EXPLAIN is not cacheable; use the explain endpoint")
-	}
-	if inm := r.Header.Get(wire.HeaderIfNoneMatch); inm != "" {
-		if et := queryETag(name, e.Epoch()); etagMatch(inm, et) {
-			return &response{status: http.StatusNotModified, etag: et}, nil
-		}
-	}
-	epoch := e.Epoch()
-	res, node, touched, err := e.SelectCtx(r.Context(), q)
-	if err != nil {
-		return nil, mapError(err)
-	}
-	if node != nil {
-		s.metrics.RecordPlan(node.Leaf().Kind.String(), touched)
-	}
-	return &response{
-		body:    selectBody(q, res, node, touched),
-		touched: touched,
-		etag:    queryETag(name, epoch),
-	}, nil
 }
 
 func (s *Server) handleSnapshot(*http.Request) (*response, *apiError) {

@@ -138,7 +138,7 @@ func AggToResult(q *Query, r *vec.AggResult) *Result {
 
 // EvalAggregate is the standalone aggregate evaluation: the row
 // reference engine over a materialized version list (the shell's local
-// mode and EvalOn both land here).
+// mode and EvalOnCtx both land here).
 func EvalAggregate(ctx context.Context, q *Query, schema relation.Schema, versions []*element.Element) (*Result, error) {
 	spec, err := BuildAggSpec(q, schema)
 	if err != nil {

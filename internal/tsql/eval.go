@@ -25,22 +25,17 @@ var pseudoColumns = []string{"es", "os", "tt_start", "tt_end", "vt", "vt_start",
 // Eval runs the query against the relation. The caller resolves the
 // relation by name (the query's Rel field) before calling.
 func Eval(q *Query, r *relation.Relation) (*Result, error) {
-	return EvalOn(q, r.Schema(), r.Versions())
-}
-
-// EvalOn runs the query over an explicit version list — either a
-// relation's full backlog or the candidate set a planned access path
-// produced. Every clause is (re-)applied, so a caller may pass a superset
-// of the answer; the predicates are idempotent.
-func EvalOn(q *Query, schema relation.Schema, versions []*element.Element) (*Result, error) {
-	return EvalOnCtx(context.Background(), q, schema, versions)
+	return EvalOnCtx(context.Background(), q, r.Schema(), r.Versions())
 }
 
 // cancelCheckEvery is how many versions the evaluation loop examines
 // between context checks; see EvalOnCtx.
 const cancelCheckEvery = 1024
 
-// EvalOnCtx is EvalOn with cooperative cancellation: the version loop
+// EvalOnCtx runs the query over an explicit version list — either a
+// relation's full backlog or the candidate set a planned access path
+// produced. Every clause is (re-)applied, so a caller may pass a superset
+// of the answer; the predicates are idempotent. The version loop
 // re-checks ctx every cancelCheckEvery elements, so a caller that has
 // timed out or hung up stops consuming CPU mid-scan instead of computing
 // a result no one will read.
